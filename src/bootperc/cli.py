@@ -10,7 +10,6 @@ resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from . import constructions, io, verify
 from .core import id_to_label
-from .engine import TupleBudgetExceeded, run_fast, run_naive
+from .engine import DEFAULT_MAX_TUPLES, TupleBudgetExceeded, run_fast, run_naive
 from .verify import SearchCapExceeded
 
 __all__ = ["main"]
@@ -38,12 +37,12 @@ class UsageError(ValueError):
 def _default_max_tuples() -> int:
     raw = os.environ.get(MAX_TUPLES_ENV)
     if raw is None:
-        return 10**8
+        return DEFAULT_MAX_TUPLES
     try:
         return int(raw)
     except ValueError:
         print(f"warning: ignoring non-integer {MAX_TUPLES_ENV}={raw!r}", file=sys.stderr)
-        return 10**8
+        return DEFAULT_MAX_TUPLES
 
 
 def _labels_for(n: int, k: int):
@@ -73,15 +72,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_document(path: str) -> dict:
+    return io._load_object(Path(path).read_text(encoding="utf-8"))
+
+
 def _read_graph(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        head = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise io.DocumentError("syntax", exc.msg, line=exc.lineno) from exc
-    if isinstance(head, dict) and "ignition" in head:
-        return io.parse_certificate(text).to_certificate().graph
-    return io.parse_graph(text).to_hypergraph()
+    data = _read_document(path)
+    if "ignition" in data:
+        return io._certificate(data)[1].graph
+    return io._graph_document(data).to_hypergraph()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -98,7 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cert = io.parse_certificate(Path(args.infile).read_text(encoding="utf-8")).to_certificate()
+    _, cert = io._certificate(_read_document(args.infile))
     report = verify.verify_sequential(cert, max_tuples=args.max_tuples)
     for name, ok in (
         ("property_i", report.property_i),

@@ -11,9 +11,12 @@ Two engines produce identical per-step traces:
   generation, restricting candidate tuples to supersets of the previous
   generation's new edges (sound because an edge infectable at step i+1
   but not at step i must share a tuple with a step-i edge).
-* :func:`run_fast` is event-driven: a lazily allocated counter per
-  tuple tracks finalized facets, and a priority queue finalizes edges
-  in nondecreasing step order, Dijkstra style.
+* :func:`run_fast` advances frontier levels: a lazily allocated
+  counter per tuple counts its infected facets, and the edges of one
+  level raise the counters that yield the next level.
+
+Both enumerate candidate tuples with :func:`core.supersets`; they
+differ only in the update rule (recount vs. counters).
 
 :func:`step` is the definitional single-generation sweep over all
 C(n, m) tuples; it is the slow reference the other two are tested
@@ -22,12 +25,11 @@ against.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .core import Edge, Hypergraph
+from .core import Edge, Hypergraph, supersets
 
 __all__ = [
     "InfectionTrace",
@@ -153,9 +155,7 @@ def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     while frontier:
         candidates: set[tuple[int, ...]] = set()
         for e in frontier:
-            others = [v for v in range(g0.n) if v not in e]
-            for extra in itertools.combinations(others, m - r):
-                candidates.add(tuple(sorted(e + extra)))
+            candidates.update(supersets(e, g0.n, m))
         new: set[Edge] = set()
         for t in candidates:
             e = _unique_missing(t, r, infected)
@@ -174,45 +174,43 @@ def run_fast(
     m: int | None = None,
     max_tuples: int | None = None,
 ) -> RunResult:
-    """Event-driven engine; identical RunResult to :func:`run_naive` on every input.
+    """Counter engine; identical RunResult to :func:`run_naive` on every input.
 
-    Edges are finalized in nondecreasing step order from a priority
-    queue (initial edges at step 0).  Finalizing an edge increments a
-    counter on each tuple containing it; when a tuple's counter reaches
-    C(m, r) - 1 its unique unfinalized facet is enqueued at the
-    finalizing edge's step plus one.  The first dequeue of an edge
-    fixes its step.
+    Level 0 is the initial edge set and level i the edges infected at
+    step i.  Each edge of a level increments a counter on every tuple
+    containing it; a tuple whose counter reaches C(m, r) - 1 puts its
+    one facet not yet infected into the next level.  The run ends at the
+    first empty level.  ``max_tuples`` caps the number of distinct
+    tuple counters; a negative cap raises ValueError.
     """
     m = _check_m(g0, m)
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
-    r = g0.r
+    if budget < 0:
+        raise ValueError(f"max_tuples must be >= 0, got {budget}")
+    n, r = g0.n, g0.r
     threshold = comb(m, r) - 1
-    step_of: dict[Edge, int] = {}
-    heap: list[tuple[int, Edge]] = [(0, e) for e in g0.sorted_edges]
-    heapq.heapify(heap)
+    infected = set(g0.edges)
     counters: dict[tuple[int, ...], int] = {}
-    while heap:
-        s, e = heapq.heappop(heap)
-        if e in step_of:
-            continue
-        step_of[e] = s
-        others = [v for v in range(g0.n) if v not in e]
-        for extra in itertools.combinations(others, m - r):
-            t = tuple(sorted(e + extra))
-            c = counters.get(t, 0) + 1
-            counters[t] = c
-            if len(counters) > budget:
-                raise TupleBudgetExceeded(
-                    f"more than {budget} active tuple counters; raise --max-tuples"
-                )
-            if c == threshold:
-                for f in itertools.combinations(t, r):
-                    if f not in step_of:
-                        heapq.heappush(heap, (s + 1, f))
-                        break
-    running_time = max(step_of.values(), default=0)
-    buckets: list[set[Edge]] = [set() for _ in range(running_time)]
-    for e, s in step_of.items():
-        if s >= 1:
-            buckets[s - 1].add(e)
-    return _result(g0, [frozenset(b) for b in buckets])
+    steps: list[frozenset[Edge]] = []
+    frontier: set[Edge] | frozenset[Edge] = g0.edges
+    while frontier:
+        new: set[Edge] = set()
+        for e in frontier:
+            for t in supersets(e, n, m):
+                c = counters.get(t, 0) + 1
+                counters[t] = c
+                if len(counters) > budget:
+                    raise TupleBudgetExceeded(
+                        f"more than {budget} active tuple counters; raise --max-tuples"
+                    )
+                if c == threshold:
+                    for f in itertools.combinations(t, r):
+                        if f not in infected:
+                            new.add(f)
+                            break
+        if not new:
+            break
+        infected |= new
+        steps.append(frozenset(new))
+        frontier = new
+    return _result(g0, steps)

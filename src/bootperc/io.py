@@ -323,7 +323,11 @@ def _parse_common(data: dict[str, Any]) -> tuple[str, int, int, int | None]:
 
 def parse_graph(text: str) -> GraphDocument:
     """Parse and validate a canonical graph document."""
-    data = _load_object(text)
+    return _graph_document(_load_object(text))
+
+
+def _graph_document(data: dict[str, Any]) -> GraphDocument:
+    """Validate an already decoded graph document."""
     _check_keys(data, required={"format_version", "r", "n", "edges"}, optional={"k", "labels"})
     version, r, n, k = _parse_common(data)
     labels = _parse_labels(data["labels"], n) if "labels" in data else None
@@ -333,7 +337,15 @@ def parse_graph(text: str) -> GraphDocument:
 
 def parse_certificate(text: str) -> CertificateDocument:
     """Parse and validate a canonical certificate document."""
-    data = _load_object(text)
+    return _certificate(_load_object(text))[0]
+
+
+def _certificate(data: dict[str, Any]) -> tuple[CertificateDocument, SequentialCertificate]:
+    """Validate an already decoded certificate document; return it with its certificate.
+
+    The certificate is built once, both to check its invariants and for
+    callers that go on to use it.
+    """
     _check_keys(
         data,
         required={"format_version", "r", "n", "k", "edges", "ignition", "sequence", "predicted_t"},
@@ -365,7 +377,6 @@ def parse_certificate(text: str) -> CertificateDocument:
         apex=apex,
     )
     try:
-        doc.to_certificate()
+        return doc, doc.to_certificate()
     except CertificateError as exc:
         raise DocumentError("certificate", str(exc)) from exc
-    return doc

@@ -7,14 +7,13 @@ whether each replay matches the predicted sequence exactly.
 ``brute_force_max_time`` exhausts every initial graph on a tiny vertex
 set, encoded as bitmasks over the canonical edge list.  Each instance
 is evaluated by two independent mask-level engines (a synchronous
-sweep and a counter/priority-queue finalizer) which must agree
-edge-for-edge and step-for-step; the scan is deterministic regardless
-of the number of worker processes.
+sweep over the tuple masks and a counter engine that advances frontier
+levels) which must agree edge-for-edge and step-for-step; the scan is
+deterministic regardless of the number of worker processes.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -168,40 +167,32 @@ class BruteForceResult:
 
 
 def _mask_tables(r: int, n: int):
-    """Canonical edge list plus per-tuple facet indices/masks and per-edge tuple lists."""
+    """Canonical edge list, per-tuple facet masks and per-edge tuple indices."""
     edges = list(itertools.combinations(range(n), r))
     index = {e: i for i, e in enumerate(edges)}
-    tuple_facets: list[list[int]] = []
     tuple_masks: list[int] = []
-    for t in itertools.combinations(range(n), r + 1):
-        fac = [index[f] for f in itertools.combinations(t, r)]
-        tuple_facets.append(fac)
-        tuple_masks.append(sum(1 << i for i in fac))
     edge_tuples: list[list[int]] = [[] for _ in edges]
-    for ti, fac in enumerate(tuple_facets):
+    for ti, t in enumerate(itertools.combinations(range(n), r + 1)):
+        fac = [index[f] for f in itertools.combinations(t, r)]
+        tuple_masks.append(sum(1 << i for i in fac))
         for fi in fac:
             edge_tuples[fi].append(ti)
-    return edges, tuple_facets, tuple_masks, edge_tuples
+    return edges, tuple_masks, edge_tuples
 
 
-def _mask_naive_steps(
-    mask: int, tuple_masks: list[int], r: int, memo: dict[int, int]
-) -> list[int]:
+def _mask_naive_steps(mask: int, tuple_masks: list[int], r: int) -> list[int]:
     """Synchronous replay on bitmasks: newly infected mask per step.
 
-    The one-generation map is memoized across instances; it depends
-    only on the current mask.
+    Each generation sweeps every tuple mask and recounts its present
+    facets; nothing is kept between generations or instances.
     """
     out: list[int] = []
     m = mask
     while True:
-        new = memo.get(m)
-        if new is None:
-            new = 0
-            for fm in tuple_masks:
-                if (fm & m).bit_count() == r:
-                    new |= fm & ~m
-            memo[m] = new
+        new = 0
+        for fm in tuple_masks:
+            if (fm & m).bit_count() == r:
+                new |= fm & ~m
         if not new:
             return out
         out.append(new)
@@ -209,38 +200,30 @@ def _mask_naive_steps(
 
 
 def _mask_fast_steps(
-    mask: int,
-    edge_tuples: list[list[int]],
-    tuple_facets: list[list[int]],
-    r: int,
+    mask: int, tuple_masks: list[int], edge_tuples: list[list[int]], r: int
 ) -> list[int]:
-    """Counter/priority-queue replay on bitmasks: newly infected mask per step."""
-    steps: dict[int, int] = {}
-    heap: list[tuple[int, int]] = []
-    m, i = mask, 0
-    while m:
-        if m & 1:
-            heap.append((0, i))
-        m >>= 1
-        i += 1
-    counts = [0] * len(tuple_facets)
-    while heap:
-        s, ei = heapq.heappop(heap)
-        if ei in steps:
-            continue
-        steps[ei] = s
-        for ti in edge_tuples[ei]:
-            counts[ti] += 1
-            if counts[ti] == r:  # all but one of the r+1 facets finalized
-                for fi in tuple_facets[ti]:
-                    if fi not in steps:
-                        heapq.heappush(heap, (s + 1, fi))
-                        break
-    t = max(steps.values(), default=0)
-    out = [0] * t
-    for ei, s in steps.items():
-        if s:
-            out[s - 1] |= 1 << ei
+    """Counter replay on bitmasks by frontier levels: newly infected mask per step.
+
+    Each edge of a level increments its tuples' counters; a tuple whose
+    counter reaches r (all but one of its r+1 facets infected) adds its
+    uninfected facet to the next level.
+    """
+    out: list[int] = []
+    counts = [0] * len(tuple_masks)
+    infected = frontier = mask
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            for ti in edge_tuples[low.bit_length() - 1]:
+                counts[ti] += 1
+                if counts[ti] == r:
+                    new |= tuple_masks[ti] & ~infected
+        if new:
+            out.append(new)
+        infected |= new
+        frontier = new
     return out
 
 
@@ -250,12 +233,11 @@ def _scan_masks(args: tuple[int, int, int, int]) -> tuple[int, int]:
     Every instance runs through both mask engines; a mismatch raises.
     """
     r, n, lo, hi = args
-    _, tuple_facets, tuple_masks, edge_tuples = _mask_tables(r, n)
-    memo: dict[int, int] = {}
+    _, tuple_masks, edge_tuples = _mask_tables(r, n)
     best_t, best_mask = -1, -1
     for mask in range(lo, hi):
-        chain = _mask_naive_steps(mask, tuple_masks, r, memo)
-        fast = _mask_fast_steps(mask, edge_tuples, tuple_facets, r)
+        chain = _mask_naive_steps(mask, tuple_masks, r)
+        fast = _mask_fast_steps(mask, tuple_masks, edge_tuples, r)
         if chain != fast:
             raise EngineDisagreement(f"mask engines diverge on mask {mask}")
         if len(chain) > best_t:

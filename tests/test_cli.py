@@ -90,15 +90,24 @@ class TestRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", "--in", str(tmp_path / "nope.json")]) == 2
 
-    def test_unparseable_file(self, tmp_path):
+    def test_unparseable_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{nope")
-        assert main(["run", "--in", str(path)]) == 2
+        path.write_text("\n{nope")
+        for command in ("run", "verify"):
+            assert main([command, "--in", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "syntax" in err and "(line 2)" in err
 
     def test_tuple_budget_exhaustion(self, base_cert_file):
         assert main([
             "run", "--in", str(base_cert_file), "--max-tuples", "2",
         ]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_budget_is_a_usage_error(self, base_cert_file, capsys, command):
+        assert main([command, "--in", str(base_cert_file), "--max-tuples", "-1"]) == 2
+        assert "max_tuples must be >= 0" in capsys.readouterr().err
+        assert main([command, "--in", str(base_cert_file), "--max-tuples", "0"]) == 3
 
     def test_env_var_cap(self, base_cert_file, monkeypatch):
         monkeypatch.setenv("BOOTPERC_MAX_TUPLES", "2")

@@ -1,7 +1,10 @@
+import itertools
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc import (
     Hypergraph,
@@ -106,13 +109,49 @@ class TestRunFast:
         with pytest.raises(TupleBudgetExceeded):
             run_fast(g, max_tuples=2)
 
+    @pytest.mark.parametrize("g, m", [
+        (build_base(2).graph, None),
+        (near_complete(5, 3)[0], None),
+        (near_complete(6, 3)[0], 5),
+        (random_hypergraph(random.Random(3), 9, 2, 0.3), 4),
+    ], ids=["base-k2", "near-complete-n5", "near-complete-n6-m5", "random-r2-m4"])
+    def test_budget_is_exactly_the_tuples_meeting_the_final_graph(self, g, m):
+        m = g.r + 1 if m is None else m
+        final = run_naive(g, m=m).final_graph
+        touched = {t for e in final.edges for t in supersets(e, g.n, m)}
+        assert run_fast(g, m=m, max_tuples=len(touched)).final_graph == final
+        with pytest.raises(TupleBudgetExceeded):
+            run_fast(g, m=m, max_tuples=len(touched) - 1)
+
+    def test_negative_budget_rejected(self):
+        g, _ = near_complete(4, 3)
+        with pytest.raises(ValueError):
+            run_fast(g, max_tuples=-1)
+        assert run_fast(Hypergraph(n=4, r=3, edges=frozenset()), max_tuples=0).running_time == 0
+
     def test_trace_steps_start_at_one(self):
         g, missing = near_complete(4, 3)
         res = run_fast(g)
         assert res.step_map() == {missing: 1}
 
 
+@st.composite
+def small_graphs(draw, r: int, n_min: int, n_max: int) -> Hypergraph:
+    n = draw(st.integers(n_min, n_max))
+    edges = list(itertools.combinations(range(n), r))
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Hypergraph.from_edges(n, r, [e for e, k in zip(edges, keep) if k])
+
+
 class TestEngineEquivalence:
+    @pytest.mark.parametrize("r, m, n_max", [(2, 3, 8), (2, 4, 8), (4, 6, 8)])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_instances_all_three_engines(self, r, m, n_max, data):
+        g = data.draw(small_graphs(r, m, n_max))
+        reference = iterate_step(g, m=m)
+        assert tuple(reference) == run_naive(g, m=m).trace.steps == run_fast(g, m=m).trace.steps
+
     def test_random_small_instances_all_three_engines(self):
         rng = random.Random(0x5EED)
         cases = 0

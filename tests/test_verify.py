@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from bootperc import (
     run_naive,
     verify_sequential,
 )
-from bootperc.verify import _mask_naive_steps, _mask_tables
+from bootperc.verify import _mask_fast_steps, _mask_naive_steps, _mask_tables
 
 from helpers import random_hypergraph
 
@@ -177,28 +176,28 @@ class TestBruteForce:
 
 
 class TestMaskEnginesMatchObjectEngines:
-    def test_exhaustive_three_four(self):
-        edges = list(itertools.combinations(range(4), 3))
-        _, _, tuple_masks, _ = _mask_tables(3, 4)
-        memo = {}
-        for mask in range(1 << 4):
-            g = Hypergraph.from_edges(4, 3, [edges[i] for i in range(4) if mask >> i & 1])
-            chain = _mask_naive_steps(mask, tuple_masks, 3, memo)
-            trace = run_naive(g).trace.steps
-            assert len(chain) == len(trace)
-            for new_mask, stepset in zip(chain, trace):
-                decoded = {edges[i] for i in range(4) if new_mask >> i & 1}
-                assert decoded == stepset
+    @staticmethod
+    def check_every_mask(r, n):
+        edges, tuple_masks, edge_tuples = _mask_tables(r, n)
 
-    def test_sampled_three_five(self):
-        edges = list(itertools.combinations(range(5), 3))
-        _, _, tuple_masks, _ = _mask_tables(3, 5)
-        memo = {}
-        rng = random.Random(11)
-        for mask in rng.sample(range(1 << 10), 200):
-            g = Hypergraph.from_edges(5, 3, [edges[i] for i in range(10) if mask >> i & 1])
-            chain = _mask_naive_steps(mask, tuple_masks, 3, memo)
-            fast = run_fast(g)
-            naive = run_naive(g)
-            assert fast.trace == naive.trace
-            assert len(chain) == fast.running_time
+        def decode(chain):
+            return tuple(
+                frozenset(e for i, e in enumerate(edges) if new_mask >> i & 1)
+                for new_mask in chain
+            )
+
+        for mask in range(1 << len(edges)):
+            g = Hypergraph.from_edges(n, r, [e for i, e in enumerate(edges) if mask >> i & 1])
+            trace = run_naive(g).trace.steps
+            assert run_fast(g).trace.steps == trace, mask
+            assert decode(_mask_naive_steps(mask, tuple_masks, r)) == trace, mask
+            assert decode(_mask_fast_steps(mask, tuple_masks, edge_tuples, r)) == trace, mask
+
+    def test_exhaustive_three_four(self):
+        self.check_every_mask(3, 4)
+
+    def test_exhaustive_two_five(self):
+        self.check_every_mask(2, 5)
+
+    def test_exhaustive_three_five(self):
+        self.check_every_mask(3, 5)
