@@ -4,7 +4,9 @@ Subcommands: build, run, verify, bounds, brute, check-base.  Human
 output goes to stdout, diagnostics to stderr; machine-readable output
 only via --out/--trace files.  Exit codes: 0 success/verified, 1
 verification or bound check failed, 2 invalid input or arguments, 3
-resource cap exceeded.
+resource cap exceeded, 4 internal inconsistency (two engines or update
+rules that must agree did not, which is a bug in bootperc, not in the
+input).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 from . import constructions, io, verify
 from .core import id_to_label
 from .engine import DEFAULT_MAX_TUPLES, TupleBudgetExceeded, run_fast, run_naive
-from .verify import SearchCapExceeded
+from .verify import EngineDisagreement, SearchCapExceeded
 
 __all__ = ["main"]
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 MAX_TUPLES_ENV = "BOOTPERC_MAX_TUPLES"
 
@@ -224,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except EngineDisagreement as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (TupleBudgetExceeded, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -5,16 +5,20 @@ ignition removed, last edge swapped in for the ignition) and reports
 whether each replay matches the predicted sequence exactly.
 
 ``brute_force_max_time`` exhausts every initial graph on a tiny vertex
-set, encoded as bitmasks over the canonical edge list.  Each instance
-is evaluated by two independent mask-level engines (a synchronous
-sweep over the tuple masks and a counter engine that advances frontier
-levels) which must agree edge-for-edge and step-for-step; the scan is
-deterministic regardless of the number of worker processes.
+set, encoded as bitmasks over the canonical edge list.  The masks are
+evaluated bit-sliced, 2^16 at a time: each edge is one big int holding
+that edge's bit for every mask of the chunk, so one integer operation
+advances all of them.  Every generation runs two independent update
+rules (a recount over the tuples and per-tuple binary counters fed by
+the previous generation's new edges), which must agree edge-for-edge on
+every mask; the scan is deterministic regardless of the number of
+worker processes.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -43,7 +47,7 @@ DEFAULT_EDGE_CAP = 24
 
 
 class EngineDisagreement(RuntimeError):
-    """The two engines produced different traces for the same input."""
+    """Two engines, or the oracle's two update rules, disagreed on the same input."""
 
 
 class SearchCapExceeded(ValueError):
@@ -163,85 +167,136 @@ class BruteForceResult:
 
 
 # ---------------------------------------------------------------------------
-# mask-level engines for the exhaustive scan
+# bit-sliced kernel for the exhaustive scan
+#
+# Masks are taken in aligned chunks of 2^c.  Plane i of a chunk is an int
+# whose bit j is bit i of mask ``base + j``, so one big-int operation
+# applies an update to every mask of the chunk at once.
+
+_CHUNK_BITS = 16
 
 
-def _mask_tables(r: int, n: int):
-    """Canonical edge list, per-tuple facet masks and per-edge tuple indices."""
-    edges = list(itertools.combinations(range(n), r))
-    index = {e: i for i, e in enumerate(edges)}
-    tuple_masks: list[int] = []
-    edge_tuples: list[list[int]] = [[] for _ in edges]
-    for ti, t in enumerate(itertools.combinations(range(n), r + 1)):
-        fac = [index[f] for f in itertools.combinations(t, r)]
-        tuple_masks.append(sum(1 << i for i in fac))
-        for fi in fac:
-            edge_tuples[fi].append(ti)
-    return edges, tuple_masks, edge_tuples
+def _tuple_facets(r: int, n: int) -> list[tuple[int, ...]]:
+    """Edge indices (into the lexicographic edge list) of each (r+1)-tuple's facets."""
+    index = {e: i for i, e in enumerate(itertools.combinations(range(n), r))}
+    return [
+        tuple(index[f] for f in itertools.combinations(t, r))
+        for t in itertools.combinations(range(n), r + 1)
+    ]
 
 
-def _mask_naive_steps(mask: int, tuple_masks: list[int], r: int) -> list[int]:
-    """Synchronous replay on bitmasks: newly infected mask per step.
+def _chunk_planes(base: int, c: int, num_edges: int) -> list[int]:
+    """Initial planes of the chunk of 2^c masks starting at ``base``.
 
-    Each generation sweeps every tuple mask and recounts its present
-    facets; nothing is kept between generations or instances.
+    Planes below c repeat a block of 2^i zeros then 2^i ones, doubled up
+    to the chunk width; planes at c and above are constant in the chunk.
     """
-    out: list[int] = []
-    m = mask
-    while True:
-        new = 0
-        for fm in tuple_masks:
-            if (fm & m).bit_count() == r:
-                new |= fm & ~m
-        if not new:
-            return out
-        out.append(new)
-        m |= new
+    full = (1 << (1 << c)) - 1
+    planes = []
+    for i in range(c):
+        half = 1 << i
+        block = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < 1 << c:
+            block |= block << width
+            width *= 2
+        planes.append(block)
+    planes.extend(full if base >> i & 1 else 0 for i in range(c, num_edges))
+    return planes
 
 
-def _mask_fast_steps(
-    mask: int, tuple_masks: list[int], edge_tuples: list[list[int]], r: int
+def _recount_rule(x: list[int], tuples: list[tuple[int, ...]]) -> list[int]:
+    """Rule A: new_f = not x_f and, for some tuple t containing f, x_g for all g in t - f."""
+    new = [0] * len(x)
+    for t in tuples:
+        prefix = [-1]  # prefix[i]: AND of the first i facets' planes
+        for f in t:
+            prefix.append(prefix[-1] & x[f])
+        suffix = -1
+        for i in reversed(range(len(t))):
+            new[t[i]] |= prefix[i] & suffix
+            suffix &= x[t[i]]
+    for f, p in enumerate(x):
+        new[f] &= ~p
+    return new
+
+
+def _counter_rule(
+    x: list[int],
+    fresh: list[int],
+    counters: list[list[int]],
+    tuples: list[tuple[int, ...]],
+    r: int,
+    full: int,
 ) -> list[int]:
-    """Counter replay on bitmasks by frontier levels: newly infected mask per step.
+    """Rule B: a bit-sliced count of infected facets per tuple.
 
-    Each edge of a level increments its tuples' counters; a tuple whose
-    counter reaches r (all but one of its r+1 facets infected) adds its
-    uninfected facet to the next level.
+    Each counter is incremented by the previous generation's new planes;
+    a counter equal to r fires the tuple's one uninfected facet.
     """
-    out: list[int] = []
-    counts = [0] * len(tuple_masks)
-    infected = frontier = mask
-    while frontier:
-        new = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            for ti in edge_tuples[low.bit_length() - 1]:
-                counts[ti] += 1
-                if counts[ti] == r:
-                    new |= tuple_masks[ti] & ~infected
-        if new:
-            out.append(new)
-        infected |= new
-        frontier = new
-    return out
+    new = [0] * len(x)
+    for t, counter in zip(tuples, counters):
+        for f in t:
+            carry = fresh[f]
+            b = 0
+            while carry:
+                counter[b], carry = counter[b] ^ carry, counter[b] & carry
+                b += 1
+        fire = full
+        for b, plane in enumerate(counter):
+            fire &= plane if r >> b & 1 else full ^ plane
+        if fire:
+            for f in t:
+                new[f] |= fire
+    for f, p in enumerate(x):
+        new[f] &= ~p
+    return new
 
 
-def _scan_masks(args: tuple[int, int, int, int]) -> tuple[int, int]:
-    """Evaluate masks in [lo, hi); return (local max T, smallest mask attaining it).
+def _generations(
+    x: list[int], tuples: list[tuple[int, ...]], r: int, full: int, base: int
+):
+    """Yield (activity, new planes) for each generation with any new edge.
 
-    Every instance runs through both mask engines; a mismatch raises.
+    ``x`` holds the initial planes of the chunk starting at mask ``base``
+    and is advanced in place.  Every generation runs both update rules;
+    if any plane differs, EngineDisagreement names the smallest mask
+    on which they diverge.
     """
-    r, n, lo, hi = args
-    _, tuple_masks, edge_tuples = _mask_tables(r, n)
+    counters = [[0] * (r + 1).bit_length() for _ in tuples]
+    fresh = list(x)
+    while True:
+        new = _recount_rule(x, tuples)
+        diff = activity = 0
+        for a, b in zip(new, _counter_rule(x, fresh, counters, tuples, r, full)):
+            diff |= a ^ b
+            activity |= a
+        if diff:
+            low = (diff & -diff).bit_length() - 1
+            raise EngineDisagreement(f"the two update rules diverge on mask {base + low}")
+        if not activity:
+            return
+        yield activity, new
+        for f, p in enumerate(new):
+            x[f] |= p
+        fresh = new
+
+
+def _scan_chunks(args: tuple[int, int, int, int, int]) -> tuple[int, int]:
+    """Evaluate chunks [lo, hi) of 2^c masks; return (local max T, smallest mask attaining it)."""
+    r, n, c, lo, hi = args
+    num_edges = comb(n, r)
+    tuples = _tuple_facets(r, n)
+    full = (1 << (1 << c)) - 1
     best_t, best_mask = -1, -1
-    for mask in range(lo, hi):
-        chain = _mask_naive_steps(mask, tuple_masks, r)
-        fast = _mask_fast_steps(mask, tuple_masks, edge_tuples, r)
-        if chain != fast:
-            raise EngineDisagreement(f"mask engines diverge on mask {mask}")
-        if len(chain) > best_t:
-            best_t, best_mask = len(chain), mask
+    for chunk in range(lo, hi):
+        base = chunk << c
+        x = _chunk_planes(base, c, num_edges)
+        t, last = 0, full  # with no generation, every mask of the chunk has T = 0
+        for t, (activity, _) in enumerate(_generations(x, tuples, r, full, base), 1):
+            last = activity
+        if t > best_t:
+            best_t, best_mask = t, base + (last & -last).bit_length() - 1
     return best_t, best_mask
 
 
@@ -251,10 +306,13 @@ def brute_force_max_time(
     """Exact maximum running time over all 2^C(n,r) initial graphs.
 
     Masks are enumerated in ascending numeric order over the canonical
-    (lexicographic) edge list; ties resolve to the smallest mask.  With
-    jobs > 1 the mask space is split into contiguous ranges whose local
-    results merge by (max T, then smallest mask), so the outcome is
-    independent of the worker count.
+    (lexicographic) edge list; ties resolve to the smallest mask.  The
+    mask space is cut into aligned chunks of 2^min(16, C(n,r)) masks,
+    evaluated bit-sliced; with jobs > 1 the chunks are split into
+    contiguous ranges whose local results merge by (max T, then smallest
+    mask), so the outcome is independent of the worker count.  At most
+    min(jobs, ranges, CPUs) worker processes are started, and none for
+    a single range.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -262,24 +320,28 @@ def brute_force_max_time(
         raise ValueError(f"n must be >= r, got n={n}, r={r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     num_edges = comb(n, r)
     if num_edges > cap:
         raise SearchCapExceeded(
             f"C({n},{r}) = {num_edges} exceeds the cap of {cap} edges "
             f"(2^{num_edges} initial graphs)"
         )
-    total = 1 << num_edges
-    bounds = [total * i // jobs for i in range(jobs + 1)]
+    c = min(_CHUNK_BITS, num_edges)
+    chunks = 1 << (num_edges - c)
+    bounds = [chunks * i // jobs for i in range(jobs + 1)]
     ranges = [
-        (r, n, bounds[i], bounds[i + 1])
+        (r, n, c, bounds[i], bounds[i + 1])
         for i in range(jobs)
         if bounds[i] < bounds[i + 1]
     ]
-    if jobs == 1:
-        results = [_scan_masks(ranges[0])]
+    workers = min(len(ranges), os.cpu_count() or 1)
+    if workers == 1:
+        results = [_scan_chunks(span) for span in ranges]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_masks, ranges))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_chunks, ranges))
     best_t, best_mask = -1, -1
     for t, mask in results:
         if t > best_t or (t == best_t and mask < best_mask):
@@ -289,5 +351,5 @@ def brute_force_max_time(
     return BruteForceResult(
         max_t=best_t,
         witness=Hypergraph.from_edges(n, r, witness_edges),
-        searched=total,
+        searched=1 << num_edges,
     )

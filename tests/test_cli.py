@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bootperc import Hypergraph, build_base, constructions
+from bootperc import Hypergraph, build_base, constructions, verify
 from bootperc.cli import main
 from bootperc.io import emit_certificate, emit_graph
 
@@ -174,6 +174,44 @@ class TestBrute:
     def test_cap_exceeded(self, capsys):
         assert main(["brute", "--r", "3", "--n", "8"]) == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        assert main(["brute", "--r", "3", "--n", "5", "--cap", "-1"]) == 2
+        assert "cap must be >= 0" in capsys.readouterr().err
+        assert main(["brute", "--r", "3", "--n", "5", "--cap", "0"]) == 3
+        assert "exceeds the cap of 0 edges" in capsys.readouterr().err
+
+
+class TestInternalInconsistency:
+    def test_brute_rules_disagree(self, capsys, monkeypatch):
+        true_rule = verify._counter_rule
+
+        def faulty(*args):
+            new = true_rule(*args)
+            new[2] ^= 1 << 5
+            return new
+
+        monkeypatch.setattr(verify, "_counter_rule", faulty)
+        assert main(["brute", "--r", "3", "--n", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal inconsistency" in captured.err
+        assert "on mask 5" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_verify_engines_disagree(self, base_cert_file, capsys, monkeypatch):
+        true_naive = verify.run_naive
+
+        def faulty(g, *args, **kwargs):
+            return true_naive(g.without(g.sorted_edges[0]), *args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_naive", faulty)
+        assert main(["verify", "--in", str(base_cert_file)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal inconsistency" in captured.err
+        assert "engines diverge" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestCheckBase:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -12,9 +14,10 @@ from bootperc import (
     clique_census,
     run_fast,
     run_naive,
+    verify,
     verify_sequential,
 )
-from bootperc.verify import _mask_fast_steps, _mask_naive_steps, _mask_tables
+from bootperc.verify import EngineDisagreement, _chunk_planes, _generations, _tuple_facets
 
 from helpers import random_hypergraph
 
@@ -174,24 +177,85 @@ class TestBruteForce:
         near = Hypergraph.complete(4, 3).without((0, 1, 2)).padded(5)
         assert run_fast(near).running_time <= best
 
+    def test_negative_cap_is_invalid(self):
+        with pytest.raises(ValueError, match="cap must be >= 0") as info:
+            brute_force_max_time(3, 5, cap=-1)
+        assert not isinstance(info.value, SearchCapExceeded)
+        with pytest.raises(SearchCapExceeded):
+            brute_force_max_time(3, 5, cap=0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_graph_process_squares(self, n):
+        # r = 2: each step adds every pair at distance 2, so G_t = G^(2^t) and
+        # the slowest graph on n vertices is a path, with T = ceil(log2(n - 1))
+        result = brute_force_max_time(2, n)
+        assert result.max_t == math.ceil(math.log2(n - 1))
+        assert run_fast(result.witness).running_time == result.max_t
+
+    def test_worker_count_is_bounded(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        expected = brute_force_max_time(3, 5)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        assert brute_force_max_time(3, 4, jobs=32).max_t == 1  # one chunk, one range
+        assert started == []
+        monkeypatch.setattr(verify, "_CHUNK_BITS", 3)  # (3,5) becomes 128 chunks
+        for jobs, workers in ((2, 2), (8, 3), (200, 3)):
+            result = brute_force_max_time(3, 5, jobs=jobs)
+            assert (result.max_t, result.witness) == (expected.max_t, expected.witness)
+            assert started.pop() == workers
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert brute_force_max_time(3, 5, jobs=8).witness == expected.witness
+        assert started == []
+
 
 class TestMaskEnginesMatchObjectEngines:
     @staticmethod
-    def check_every_mask(r, n):
-        edges, tuple_masks, edge_tuples = _mask_tables(r, n)
+    def single_chunk(r, n):
+        """Edge list, initial planes and tuples of the one chunk holding every mask."""
+        edges = list(itertools.combinations(range(n), r))
+        c = len(edges)
+        return edges, _chunk_planes(0, c, c), _tuple_facets(r, n), (1 << (1 << c)) - 1
 
-        def decode(chain):
-            return tuple(
-                frozenset(e for i, e in enumerate(edges) if new_mask >> i & 1)
-                for new_mask in chain
-            )
+    def test_chunk_planes_hold_the_mask_bits(self):
+        c, num_edges, base = 3, 6, 5 << 3
+        planes = _chunk_planes(base, c, num_edges)
+        for j in range(1 << c):
+            assert [p >> j & 1 for p in planes] == [(base + j) >> i & 1 for i in range(num_edges)]
+        assert all(p >> (1 << c) == 0 for p in planes)
 
-        for mask in range(1 << len(edges)):
+    def check_every_mask(self, r, n):
+        edges, x, tuples, full = self.single_chunk(r, n)
+        masks = range(1 << len(edges))
+        steps = {mask: [] for mask in masks}
+        generations = 0
+        for activity, new in _generations(x, tuples, r, full, 0):
+            generations += 1
+            assert activity == sum(1 << mask for mask in masks if any(p >> mask & 1 for p in new))
+            for mask in masks:
+                steps[mask].append(frozenset(e for e, p in zip(edges, new) if p >> mask & 1))
+        longest = 0
+        for mask in masks:
             g = Hypergraph.from_edges(n, r, [e for i, e in enumerate(edges) if mask >> i & 1])
             trace = run_naive(g).trace.steps
             assert run_fast(g).trace.steps == trace, mask
-            assert decode(_mask_naive_steps(mask, tuple_masks, r)) == trace, mask
-            assert decode(_mask_fast_steps(mask, tuple_masks, edge_tuples, r)) == trace, mask
+            assert tuple(steps[mask]) == trace + (frozenset(),) * (generations - len(trace)), mask
+            longest = max(longest, len(trace))
+        assert generations == longest
 
     def test_exhaustive_three_four(self):
         self.check_every_mask(3, 4)
@@ -201,3 +265,31 @@ class TestMaskEnginesMatchObjectEngines:
 
     def test_exhaustive_three_five(self):
         self.check_every_mask(3, 5)
+
+    @staticmethod
+    def flip_counter_bit(monkeypatch, edge, mask):
+        true_rule = verify._counter_rule
+
+        def faulty(*args):
+            new = true_rule(*args)
+            new[edge] ^= 1 << mask
+            return new
+
+        monkeypatch.setattr(verify, "_counter_rule", faulty)
+
+    @pytest.mark.parametrize("edge,mask", [(0, 0), (3, 94), (9, 1023)])
+    def test_flipped_counter_bit_names_its_mask(self, monkeypatch, edge, mask):
+        _, x, tuples, full = self.single_chunk(3, 5)
+        self.flip_counter_bit(monkeypatch, edge, mask)
+        with pytest.raises(EngineDisagreement, match=f"on mask {5 * 1024 + mask}$"):
+            list(_generations(x, tuples, 3, full, 5 * 1024))
+        with pytest.raises(EngineDisagreement, match=f"on mask {mask}$"):
+            brute_force_max_time(3, 5)
+
+    @pytest.mark.parametrize("r,n", [(2, 5), (3, 5)])
+    def test_chunk_boundaries(self, monkeypatch, r, n):
+        default = brute_force_max_time(r, n)
+        monkeypatch.setattr(verify, "_CHUNK_BITS", 3)
+        for jobs in (1, 2):
+            small = brute_force_max_time(r, n, jobs=jobs)
+            assert (small.max_t, small.witness) == (default.max_t, default.witness)
