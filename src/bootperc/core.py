@@ -145,10 +145,7 @@ class Hypergraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"uniformity must be >= 1, got {self.r}")
+        self._check_sizes()
         for e in self.edges:
             if len(e) != self.r:
                 raise ArityError(f"edge {e} has {len(e)} vertices, expected {self.r}")
@@ -157,11 +154,23 @@ class Hypergraph:
             if e[0] < 0 or e[-1] >= self.n:
                 raise VertexRangeError(f"edge {e} out of range for n={self.n}")
 
+    def _check_sizes(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        if self.r < 1:
+            raise ValueError(f"uniformity must be >= 1, got {self.r}")
+
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-        """Build a hypergraph, canonicalizing and validating every edge."""
+        """Build a hypergraph, canonicalizing and validating every edge once."""
         canon = frozenset(make_edge(e, r=r, n=n) for e in edges)
-        return cls(n=n, r=r, edges=canon)
+        # make_edge has checked every edge, so skip __post_init__'s second pass
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "r", r)
+        object.__setattr__(g, "edges", canon)
+        g._check_sizes()
+        return g
 
     @classmethod
     def complete(cls, n: int, r: int) -> Hypergraph:

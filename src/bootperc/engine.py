@@ -11,12 +11,13 @@ Two engines produce identical per-step traces:
   generation, restricting candidate tuples to supersets of the previous
   generation's new edges (sound because an edge infectable at step i+1
   but not at step i must share a tuple with a step-i edge).
-* :func:`run_fast` advances frontier levels: a lazily allocated
-  counter per tuple counts its infected facets, and the edges of one
-  level raise the counters that yield the next level.
+* :func:`run_fast` advances frontier levels on link masks: one int per
+  (r-1)-set S, with bit v set when S | {v} is infected, so a few
+  big-int ANDs decide every tuple through a frontier edge at once.
 
-Both enumerate candidate tuples with :func:`core.supersets`; they
-differ only in the update rule (recount vs. counters).
+The two share no update code: :func:`run_naive` recounts the tuples
+that :func:`core.supersets` enumerates, :func:`run_fast` reads link
+masks.
 
 :func:`step` is the definitional single-generation sweep over all
 C(n, m) tuples; it is the slow reference the other two are tested
@@ -46,7 +47,7 @@ DEFAULT_MAX_TUPLES = 10**8
 
 
 class TupleBudgetExceeded(RuntimeError):
-    """The fast engine's lazy tuple-counter map outgrew the configured cap."""
+    """More distinct m-tuples meet the fast engine's infected graph than the cap allows."""
 
 
 @dataclass(frozen=True)
@@ -169,48 +170,163 @@ def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     return _result(g0, steps)
 
 
+def _bits(x: int) -> list[int]:
+    """The set bits of ``x`` as single-bit ints, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low)
+        x ^= low
+    return out
+
+
+def _vertices(x: int) -> Edge:
+    """The sorted vertex ids of a vertex bitmask."""
+    return tuple(b.bit_length() - 1 for b in _bits(x))
+
+
+def _over_budget(budget: int) -> TupleBudgetExceeded:
+    return TupleBudgetExceeded(
+        f"more than {budget} distinct m-tuples meet the infected graph; raise --max-tuples"
+    )
+
+
 def run_fast(
     g0: Hypergraph,
     m: int | None = None,
     max_tuples: int | None = None,
 ) -> RunResult:
-    """Counter engine; identical RunResult to :func:`run_naive` on every input.
+    """Link-mask engine; identical RunResult to :func:`run_naive` on every input.
 
-    Level 0 is the initial edge set and level i the edges infected at
-    step i.  Each edge of a level increments a counter on every tuple
-    containing it; a tuple whose counter reaches C(m, r) - 1 puts its
-    one facet not yet infected into the next level.  The run ends at the
-    first empty level.  ``max_tuples`` caps the number of distinct
-    tuple counters; a negative cap raises ValueError.
+    Edges are vertex bitmasks, and ``link[S]``, for an (r-1)-set S, has
+    bit v set when S | {v} is infected.  The m-tuples through an edge e
+    are e plus m - r added vertices, taken in ascending order.  With U
+    the edge and the vertices added so far, the facets a next vertex v
+    brings are S | {v} for the (r-1)-subsets S of U, so the planes
+    ``link[S]`` decide them for every v at once: v is kept while at most
+    one facet of the tuple is missing, and the last vertex fires that
+    one facet.  Level 0 is the initial edge set and level i the edges
+    infected at step i; the facets fired through the edges of a level
+    form the next level, and enter ``link`` only after it, so steps stay
+    synchronous.  The run ends at the first empty level.
+
+    ``max_tuples`` caps the number of distinct m-tuples meeting the
+    infected graph, counted as each edge enters ``link``; a negative cap
+    raises ValueError.
     """
     m = _check_m(g0, m)
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
     if budget < 0:
         raise ValueError(f"max_tuples must be >= 0, got {budget}")
     n, r = g0.n, g0.r
-    threshold = comb(m, r) - 1
-    infected = set(g0.edges)
-    counters: dict[tuple[int, ...], int] = {}
-    steps: list[frozenset[Edge]] = []
-    frontier: set[Edge] | frozenset[Edge] = g0.edges
-    while frontier:
-        new: set[Edge] = set()
-        for e in frontier:
-            for t in supersets(e, n, m):
-                c = counters.get(t, 0) + 1
-                counters[t] = c
-                if len(counters) > budget:
-                    raise TupleBudgetExceeded(
-                        f"more than {budget} active tuple counters; raise --max-tuples"
-                    )
-                if c == threshold:
-                    for f in itertools.combinations(t, r):
-                        if f not in infected:
-                            new.add(f)
-                            break
+    if not g0.edges:
+        return _result(g0, [])
+    if comb(n - r, m - r) > budget:
+        # the first edge alone meets that many tuples; no n-bit mask is built
+        raise _over_budget(budget)
+    full = (1 << n) - 1
+    link: dict[int, int] = {}
+
+    def subsets(e: int) -> list[list[int]]:
+        """subs[j]: the j-subsets of e, for every j >= r - (m - r)."""
+        ebits = _bits(e)
+        lo = max(2 * r - m, 0)  # levels below lo are never read
+        return (
+            [[]] * lo
+            + [[sum(c) for c in itertools.combinations(ebits, j)] for j in range(lo, r - 1)]
+            + [[e ^ b for b in ebits]]
+        )
+
+    def grow(
+        subs: list[list[int]], vals: list[int], b: int, k: int
+    ) -> tuple[list[list[int]], list[int]]:
+        """subs and planes of U | {b} from those of U, with k - 1 vertices left to add."""
+        out = [
+            (subs[j] + [x | b for x in subs[j - 1]] if j else subs[0]) if j > r - k else []
+            for j in range(r)
+        ]
+        return out, vals + [link.get(x, 0) for x in out[r - 1][len(vals):]]
+
+    def count(subs: list[list[int]], vals: list[int], cand: int, k: int) -> int:
+        """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A."""
+        for v in vals:
+            cand &= ~v
+        if k == 1:
+            return cand.bit_count()
+        return sum(
+            count(*grow(subs, vals, b, k), cand & -(b << 1), k - 1) for b in _bits(cand)
+        )
+
+    def fire(
+        subs: list[list[int]],
+        vals: list[int],
+        cand: int,
+        k: int,
+        missing: int | None,
+        new: set[int],
+    ) -> None:
+        """Add to ``new`` the facets fired by tuples U | A, A k vertices from ``cand``.
+
+        ``missing`` is the one uninfected facet inside U, if any.
+        """
+        keys = subs[r - 1]
+        prefix = [cand]  # prefix[i]: cand and the first i planes
+        for v in vals:
+            prefix.append(prefix[-1] & v)
+        all_in = prefix[-1]
+        if missing is not None:
+            if k == 1:
+                if all_in:
+                    new.add(missing)
+                return
+            for b in _bits(all_in):
+                fire(*grow(subs, vals, b, k), all_in & -(b << 1), k - 1, missing, new)
+            return
+        one = []  # (i, the vertices of cand in every plane but plane i and not in it)
+        suffix = -1
+        for i in reversed(range(len(vals))):
+            plane = prefix[i] & suffix & ~vals[i]
+            if plane:
+                one.append((i, plane))
+            suffix &= vals[i]
+        if k == 1:
+            for i, plane in one:
+                new.update(keys[i] | b for b in _bits(plane))
+            return
+        at_most_one = all_in
+        for _, plane in one:
+            at_most_one |= plane
+        for b in _bits(all_in):
+            fire(*grow(subs, vals, b, k), at_most_one & -(b << 1), k - 1, None, new)
+        for i, plane in one:
+            for b in _bits(plane):
+                fire(*grow(subs, vals, b, k), all_in & -(b << 1), k - 1, keys[i] | b, new)
+
+    touched = 0
+
+    def add(edges) -> list[tuple[int, list[list[int]]]]:
+        """Count the tuples each edge newly meets, then enter it in ``link``."""
+        nonlocal touched
+        level = []
+        for f in edges:
+            subs = subsets(f)
+            vals = [link.get(x, 0) for x in subs[r - 1]]
+            touched += count(subs, vals, full & ~f, m - r)
+            if touched > budget:
+                raise _over_budget(budget)
+            for x, v in zip(subs[r - 1], vals):
+                link[x] = v | (f ^ x)
+            level.append((f, subs))
+        return level
+
+    level = add(sum(1 << v for v in e) for e in g0.edges)
+    steps: list[set[int]] = []
+    while True:
+        new: set[int] = set()
+        for e, subs in level:
+            fire(subs, [link.get(x, 0) for x in subs[r - 1]], full & ~e, m - r, None, new)
         if not new:
             break
-        infected |= new
-        steps.append(frozenset(new))
-        frontier = new
-    return _result(g0, steps)
+        steps.append(new)
+        level = add(new)
+    return _result(g0, [frozenset(map(_vertices, s)) for s in steps])

@@ -109,6 +109,16 @@ class TestRun:
         assert "max_tuples must be >= 0" in capsys.readouterr().err
         assert main([command, "--in", str(base_cert_file), "--max-tuples", "0"]) == 3
 
+    def test_huge_vertex_count_hits_the_default_cap(self, tmp_path, monkeypatch, capsys):
+        # one edge on 10^9 vertices meets 10^9 - 2 triangles, past the 10^8 default
+        monkeypatch.delenv("BOOTPERC_MAX_TUPLES", raising=False)
+        path = tmp_path / "huge.graph.json"
+        path.write_text(json.dumps(
+            {"format_version": "1", "r": 2, "n": 10**9, "edges": [[5, 10**9 - 1]]}
+        ))
+        assert main(["run", "--in", str(path)]) == 3
+        assert "distinct m-tuples" in capsys.readouterr().err
+
     def test_env_var_cap(self, base_cert_file, monkeypatch):
         monkeypatch.setenv("BOOTPERC_MAX_TUPLES", "2")
         assert main(["run", "--in", str(base_cert_file)]) == 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -123,6 +124,31 @@ class TestRunFast:
         with pytest.raises(TupleBudgetExceeded):
             run_fast(g, m=m, max_tuples=len(touched) - 1)
 
+    def test_huge_vertex_count_is_refused_before_any_mask(self):
+        # C(10^9 - 3, 1) tuples meet the one edge; a 10^9-bit mask would take 125 MB
+        g = Hypergraph.from_edges(10**9, 3, [(0, 5, 10**9 - 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TupleBudgetExceeded):
+                run_fast(g, max_tuples=10)
+            assert run_fast(Hypergraph(n=10**9, r=3, edges=frozenset())).running_time == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_budget_is_exactly_the_tuples_meeting_the_final_graph(self, r, m, data):
+        g = data.draw(small_graphs(r, m, 7))
+        final = run_naive(g, m=m).final_graph
+        touched = {t for e in final.edges for t in supersets(e, g.n, m)}
+        assert run_fast(g, m=m, max_tuples=len(touched)).final_graph == final
+        if touched:
+            with pytest.raises(TupleBudgetExceeded):
+                run_fast(g, m=m, max_tuples=len(touched) - 1)
+
     def test_negative_budget_rejected(self):
         g, _ = near_complete(4, 3)
         with pytest.raises(ValueError):
@@ -227,6 +253,41 @@ class TestProcessProperties:
                         [t[:p] + t[p + 1:] for p in range(4)] if f != e)
                     for t in supersets(e, n, 4)
                 )
+
+
+def relabeled(g: Hypergraph, ids: list[int], n: int) -> Hypergraph:
+    return Hypergraph.from_edges(n, g.r, [[ids[v] for v in e] for e in g.edges])
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("n", [31, 61, 100])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_relabeling_across_int_digits_maps_the_trace(self, r, n, data):
+        # Python ints hold 30 bits per digit: the pool straddles bits 30, 60 and 90
+        g = data.draw(small_graphs(r, r + 1, 7))
+        pool = (0, 1, 2, 3, 15, 28, 29, 30, 31, 58, 59, 60, 61, 89, 90, 91, 98, 99)
+        ids = data.draw(st.permutations([v for v in pool if v < n]))[: g.n]
+        big = relabeled(g, ids, n)
+        fast, small = run_fast(big), run_fast(g)
+        assert fast == run_naive(big)
+        assert fast.running_time == small.running_time
+        want = tuple(
+            frozenset(tuple(sorted(ids[v] for v in e)) for e in s) for s in small.trace.steps
+        )
+        assert fast.trace.steps == want
+
+    @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_padding_with_isolated_vertices_keeps_the_trace(self, r, m, data):
+        g = data.draw(small_graphs(r, m, 7))
+        res = run_fast(g, m=m)
+        for extra in (1, 31, 70):
+            padded = run_fast(g.padded(g.n + extra), m=m)
+            assert padded.running_time == res.running_time
+            assert padded.trace == res.trace
 
 
 class TestTraceTypes:
