@@ -75,19 +75,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_document(path: str) -> dict:
-    return io._load_object(Path(path).read_text(encoding="utf-8"))
-
-
-def _read_graph(path: str):
-    data = _read_document(path)
-    if "ignition" in data:
-        return io._certificate(data)[1].graph
-    return io._graph_document(data).to_hypergraph()
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    g = _read_graph(args.infile)
+    g = io.read_document(Path(args.infile).read_text(encoding="utf-8")).to_hypergraph()
     if args.engine == "naive":
         result = run_naive(g, m=args.m)
     else:
@@ -100,7 +89,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _, cert = io._certificate(_read_document(args.infile))
+    cert = io.parse_certificate(Path(args.infile).read_text(encoding="utf-8")).to_certificate()
     report = verify.verify_sequential(cert, max_tuples=args.max_tuples)
     for name, ok in (
         ("property_i", report.property_i),
@@ -129,7 +118,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise UsageError(f"r must be >= 3, got {args.r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        b = constructions.theorem_bounds(args.r, args.n)
+        try:
+            b = constructions.theorem_bounds(args.r, args.n)
+        except OverflowError as exc:
+            raise UsageError(f"bounds for r = {args.r} overflow a float: {exc}") from exc
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     print(f"lower = {b.lower} = {float(b.lower)}")

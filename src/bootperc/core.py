@@ -161,21 +161,24 @@ class Hypergraph:
             raise ValueError(f"uniformity must be >= 1, got {self.r}")
 
     @classmethod
-    def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-        """Build a hypergraph, canonicalizing and validating every edge once."""
-        canon = frozenset(make_edge(e, r=r, n=n) for e in edges)
-        # make_edge has checked every edge, so skip __post_init__'s second pass
+    def _trusted(cls, n: int, r: int, edges: frozenset[Edge]) -> Hypergraph:
+        """Build from edges already known to be canonical, checking only n and r."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "r", r)
-        object.__setattr__(g, "edges", canon)
+        object.__setattr__(g, "edges", edges)
         g._check_sizes()
         return g
 
     @classmethod
+    def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
+        """Build a hypergraph, canonicalizing and validating every edge once."""
+        return cls._trusted(n, r, frozenset(make_edge(e, r=r, n=n) for e in edges))
+
+    @classmethod
     def complete(cls, n: int, r: int) -> Hypergraph:
         """The complete r-graph on n vertices."""
-        return cls(n=n, r=r, edges=frozenset(itertools.combinations(range(n), r)))
+        return cls._trusted(n, r, frozenset(itertools.combinations(range(n), r)))
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
@@ -193,17 +196,17 @@ class Hypergraph:
     def with_edges(self, extra: Iterable[Iterable[int]]) -> Hypergraph:
         """A new graph with the given edges added."""
         canon = {make_edge(e, r=self.r, n=self.n) for e in extra}
-        return Hypergraph(n=self.n, r=self.r, edges=self.edges | canon)
+        return Hypergraph._trusted(self.n, self.r, self.edges | canon)
 
     def without(self, e: Iterable[int]) -> Hypergraph:
         """A new graph with one edge removed."""
-        return Hypergraph(n=self.n, r=self.r, edges=self.edges - {make_edge(e)})
+        return Hypergraph._trusted(self.n, self.r, self.edges - {make_edge(e)})
 
     def padded(self, n: int) -> Hypergraph:
         """The same edge set viewed on a larger vertex set (isolated vertices)."""
         if n < self.n:
             raise ValueError(f"cannot shrink vertex set from {self.n} to {n}")
-        return Hypergraph(n=n, r=self.r, edges=self.edges)
+        return Hypergraph._trusted(n, self.r, self.edges)
 
     def max_edges(self) -> int:
         """Edge count of the complete r-graph on this vertex set."""

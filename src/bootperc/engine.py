@@ -137,7 +137,8 @@ def is_stationary(g: Hypergraph, m: int | None = None) -> bool:
 
 def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:
     trace = InfectionTrace(steps=tuple(steps))
-    final = Hypergraph(n=g0.n, r=g0.r, edges=g0.edges | trace.all_edges())
+    # the engines add only canonical tuples of g0's vertices to g0's edges
+    final = Hypergraph._trusted(g0.n, g0.r, g0.edges | trace.all_edges())
     return RunResult(final_graph=final, trace=trace, running_time=len(steps))
 
 

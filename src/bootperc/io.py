@@ -10,12 +10,15 @@ Parsing is strict: any document violating a graph or certificate
 invariant is rejected with a specific error code (``syntax``,
 ``schema``, ``version``, ``arity``, ``duplicate-vertex``,
 ``duplicate-edge``, ``id-range``, ``not-canonical``, ``certificate``).
+:func:`read_document` reads either kind of document, telling a
+certificate by its ``ignition`` key.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, TextIO
 
 from .constructions import CertificateError, SequentialCertificate
@@ -31,6 +34,7 @@ __all__ = [
     "parse_graph",
     "emit_certificate",
     "parse_certificate",
+    "read_document",
     "emit_trace",
 ]
 
@@ -117,6 +121,14 @@ class CertificateDocument:
         )
 
     def to_certificate(self) -> SequentialCertificate:
+        """The document's certificate, built on the first call and shared after."""
+        return self._built_certificate
+
+    def to_hypergraph(self) -> Hypergraph:
+        return self.to_certificate().graph
+
+    @cached_property
+    def _built_certificate(self) -> SequentialCertificate:
         return SequentialCertificate(
             graph=Hypergraph.from_edges(self.n, self.r, self.edges),
             ignition=self.ignition,
@@ -132,84 +144,63 @@ class CertificateDocument:
 # emission
 
 
-def _render_edge_list(edges: tuple[Edge, ...]) -> list[str]:
-    if not edges:
+def _render_list(items: list[str]) -> list[str]:
+    """Lines of a top-level list value: one rendered item per line."""
+    if not items:
         return ["[]"]
-    lines = ["["]
-    for i, e in enumerate(edges):
-        comma = "," if i + 1 < len(edges) else ""
-        lines.append(f"    {json.dumps(list(e))}{comma}")
-    lines.append("  ]")
-    return lines
+    return ["[", *(f"    {item}," for item in items[:-1]), f"    {items[-1]}", "  ]"]
 
 
-def _render_labels(labels: tuple[VertexLabel, ...]) -> list[str]:
-    if not labels:
-        return ["[]"]
-    lines = ["["]
-    for i, lab in enumerate(labels):
-        comma = "," if i + 1 < len(labels) else ""
-        lines.append(f'    {{"layer": {lab.layer}, "index": {lab.index}}}{comma}')
-    lines.append("  ]")
-    return lines
+def _render_edges(edges: tuple[Edge, ...]) -> list[str]:
+    return _render_list([json.dumps(list(e)) for e in edges])
 
 
-def _emit_document(fields: list[tuple[str, str, Any]]) -> str:
-    """Render (key, kind, value) triples in order; kinds: scalar, edge, edges, labels."""
+def _emit_document(bodies: dict[str, list[str]]) -> str:
+    """Render each key with its already rendered value lines, in order."""
     out = ["{"]
-    rendered: list[list[str]] = []
-    for key, kind, value in fields:
-        if kind == "scalar":
-            body = [json.dumps(value)]
-        elif kind == "edge":
-            body = [json.dumps(list(value))]
-        elif kind == "edges":
-            body = _render_edge_list(value)
-        elif kind == "labels":
-            body = _render_labels(value)
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-        rendered.append([f'  "{key}": {body[0]}'] + body[1:])
-    for i, body in enumerate(rendered):
-        if i + 1 < len(rendered):
-            body = body[:-1] + [body[-1] + ","]
-        out.extend(body)
+    for i, (key, body) in enumerate(bodies.items()):
+        out += [f'  "{key}": {body[0]}', *body[1:]]
+        if i + 1 < len(bodies):
+            out[-1] += ","
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _graph_bodies(doc: GraphDocument | CertificateDocument) -> dict[str, list[str]]:
+    """The keys a graph and a certificate document share, ``format_version`` to ``edges``."""
+    bodies = {
+        "format_version": [json.dumps(doc.format_version)],
+        "r": [json.dumps(doc.r)],
+        "n": [json.dumps(doc.n)],
+    }
+    if doc.k is not None:
+        bodies["k"] = [json.dumps(doc.k)]
+    if doc.labels is not None:
+        bodies["labels"] = _render_list(
+            [f'{{"layer": {lab.layer}, "index": {lab.index}}}' for lab in doc.labels]
+        )
+    bodies["edges"] = _render_edges(doc.edges)
+    return bodies
 
 
 def emit_graph(doc: GraphDocument | Hypergraph) -> str:
     """Canonical text for a graph document (byte-deterministic)."""
     if isinstance(doc, Hypergraph):
         doc = GraphDocument.from_hypergraph(doc)
-    fields: list[tuple[str, str, Any]] = [("format_version", "scalar", doc.format_version)]
-    fields.append(("r", "scalar", doc.r))
-    fields.append(("n", "scalar", doc.n))
-    if doc.k is not None:
-        fields.append(("k", "scalar", doc.k))
-    if doc.labels is not None:
-        fields.append(("labels", "labels", doc.labels))
-    fields.append(("edges", "edges", doc.edges))
-    return _emit_document(fields)
+    return _emit_document(_graph_bodies(doc))
 
 
 def emit_certificate(doc: CertificateDocument | SequentialCertificate) -> str:
     """Canonical text for a certificate document (byte-deterministic)."""
     if isinstance(doc, SequentialCertificate):
         doc = CertificateDocument.from_certificate(doc)
-    fields: list[tuple[str, str, Any]] = [("format_version", "scalar", doc.format_version)]
-    fields.append(("r", "scalar", doc.r))
-    fields.append(("n", "scalar", doc.n))
-    fields.append(("k", "scalar", doc.k))
-    if doc.labels is not None:
-        fields.append(("labels", "labels", doc.labels))
-    fields.append(("edges", "edges", doc.edges))
-    fields.append(("ignition", "edge", doc.ignition))
-    fields.append(("sequence", "edges", doc.sequence))
-    fields.append(("predicted_t", "scalar", doc.predicted_t))
+    bodies = _graph_bodies(doc)
+    bodies["ignition"] = [json.dumps(list(doc.ignition))]
+    bodies["sequence"] = _render_edges(doc.sequence)
+    bodies["predicted_t"] = [json.dumps(doc.predicted_t)]
     if doc.apex is not None:
-        fields.append(("apex", "scalar", doc.apex))
-    return _emit_document(fields)
+        bodies["apex"] = [json.dumps(doc.apex)]
+    return _emit_document(bodies)
 
 
 def emit_trace(result: RunResult, sink: TextIO) -> None:
@@ -234,6 +225,8 @@ def _load_object(text: str) -> dict[str, Any]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("syntax", exc.msg, line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise DocumentError("syntax", "values nested too deeply") from exc
     if not isinstance(data, dict):
         raise DocumentError("schema", "top-level value must be an object")
     return data
@@ -337,14 +330,20 @@ def _graph_document(data: dict[str, Any]) -> GraphDocument:
 
 def parse_certificate(text: str) -> CertificateDocument:
     """Parse and validate a canonical certificate document."""
-    return _certificate(_load_object(text))[0]
+    return _certificate(_load_object(text))
 
 
-def _certificate(data: dict[str, Any]) -> tuple[CertificateDocument, SequentialCertificate]:
-    """Validate an already decoded certificate document; return it with its certificate.
+def read_document(text: str) -> GraphDocument | CertificateDocument:
+    """Parse a graph or a certificate document: a certificate has an ``ignition`` key."""
+    data = _load_object(text)
+    return _certificate(data) if "ignition" in data else _graph_document(data)
 
-    The certificate is built once, both to check its invariants and for
-    callers that go on to use it.
+
+def _certificate(data: dict[str, Any]) -> CertificateDocument:
+    """Validate an already decoded certificate document.
+
+    Its certificate is built here to check the certificate invariants,
+    and :meth:`CertificateDocument.to_certificate` hands out that one.
     """
     _check_keys(
         data,
@@ -377,6 +376,7 @@ def _certificate(data: dict[str, Any]) -> tuple[CertificateDocument, SequentialC
         apex=apex,
     )
     try:
-        return doc, doc.to_certificate()
+        doc.to_certificate()
     except CertificateError as exc:
         raise DocumentError("certificate", str(exc)) from exc
+    return doc

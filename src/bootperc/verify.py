@@ -188,19 +188,17 @@ def _tuple_facets(r: int, n: int) -> list[tuple[int, ...]]:
 def _chunk_planes(base: int, c: int, num_edges: int) -> list[int]:
     """Initial planes of the chunk of 2^c masks starting at ``base``.
 
-    Planes below c repeat a block of 2^i zeros then 2^i ones, doubled up
-    to the chunk width; planes at c and above are constant in the chunk.
+    Plane i below c repeats 2^i zeros then 2^i ones across the chunk,
+    and is plane i+1 XOR itself shifted down by 2^i (all ones standing
+    for plane c), as 0xF0 -> 0xCC -> 0xAA on 8 bits.  Planes at c and
+    above are constant in the chunk.
     """
     full = (1 << (1 << c)) - 1
-    planes = []
-    for i in range(c):
-        half = 1 << i
-        block = ((1 << half) - 1) << half
-        width = 2 * half
-        while width < 1 << c:
-            block |= block << width
-            width *= 2
-        planes.append(block)
+    planes, plane = [], full
+    for i in reversed(range(c)):
+        plane ^= plane >> (1 << i)
+        planes.append(plane)
+    planes.reverse()
     planes.extend(full if base >> i & 1 else 0 for i in range(c, num_edges))
     return planes
 

@@ -24,3 +24,12 @@ def random_hypergraph(rng: random.Random, n: int, r: int, p: float) -> Hypergrap
     """Each edge of the complete r-graph kept independently with probability p."""
     edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]
     return Hypergraph.from_edges(n, r, edges)
+
+
+def forbid_revalidation(monkeypatch) -> None:
+    """Make ``Hypergraph.__post_init__``, the public constructor's edge check, raise."""
+
+    def refuse(self):
+        raise AssertionError("Hypergraph.__post_init__ re-validated a graph")
+
+    monkeypatch.setattr(Hypergraph, "__post_init__", refuse)

@@ -98,6 +98,14 @@ class TestRun:
             err = capsys.readouterr().err
             assert "syntax" in err and "(line 2)" in err
 
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        for command in ("run", "verify"):
+            assert main([command, "--in", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: syntax") and "Traceback" not in err
+
     def test_tuple_budget_exhaustion(self, base_cert_file):
         assert main([
             "run", "--in", str(base_cert_file), "--max-tuples", "2",
@@ -150,6 +158,18 @@ class TestVerify:
         assert main(["verify", "--in", str(base_cert_file)]) == 2
 
 
+class TestVerifyInput:
+    def test_graph_document_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "k4.graph.json"
+        path.write_text(emit_graph(Hypergraph.complete(4, 3)))
+        assert main(["verify", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: schema: missing field(s): ['ignition', 'k', 'predicted_t', 'sequence']\n"
+        )
+
+
 class TestBounds:
     def test_r3_n18(self, capsys):
         assert main(["bounds", "--r", "3", "--n", "18"]) == 0
@@ -166,6 +186,15 @@ class TestBounds:
 
     def test_rejects_r2(self, capsys):
         assert main(["bounds", "--r", "2", "--n", "10"]) == 2
+
+    @pytest.mark.parametrize(
+        "r, n", [("3", "1" + "0" * 400), ("3000", "5000")], ids=["n-401-digits", "r3000-n5000"]
+    )
+    def test_float_overflow_is_a_usage_error(self, r, n, capsys):
+        assert main(["bounds", "--r", r, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestBrute:

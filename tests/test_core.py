@@ -19,6 +19,8 @@ from bootperc.core import (
     supersets,
 )
 
+from helpers import forbid_revalidation
+
 
 class TestMakeEdge:
     def test_sorts(self):
@@ -163,6 +165,34 @@ class TestHypergraph:
         assert len(g2) == 2 and len(g) == 1
         g3 = g2.without((0, 1, 2))
         assert list(g3) == [(1, 2, 3)]
+
+    def test_with_edges_validates_the_added_edges(self):
+        g = Hypergraph.from_edges(4, 3, [(0, 1, 2)])
+        with pytest.raises(ArityError):
+            g.with_edges([(0, 1)])
+        with pytest.raises(VertexRangeError):
+            g.with_edges([(1, 2, 4)])
+        with pytest.raises(VertexRangeError):
+            g.with_edges([(-1, 2, 3)])
+        with pytest.raises(DuplicateVertexError):
+            g.with_edges([(1, 1, 3)])
+        assert g.with_edges([(3, 2, 1)]).edges == {(0, 1, 2), (1, 2, 3)}
+
+    def test_derived_graphs_are_not_validated_again(self, monkeypatch):
+        forbid_revalidation(monkeypatch)
+        g = Hypergraph.from_edges(5, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+        assert len(Hypergraph.complete(5, 3)) == 10
+        assert g.with_edges([(4, 2, 1)]).edges == g.edges | {(1, 2, 4)}
+        assert g.without((2, 0, 1)).edges == g.edges - {(0, 1, 2)}
+        assert g.padded(7) == Hypergraph.from_edges(7, 3, g.edges)
+        with pytest.raises(AssertionError, match="re-validated"):
+            Hypergraph(n=5, r=3, edges=g.edges)
+
+    def test_derived_graphs_still_check_sizes(self):
+        with pytest.raises(ValueError):
+            Hypergraph.complete(-1, 2)
+        with pytest.raises(ValueError):
+            Hypergraph.complete(3, 0)
 
     def test_padded(self):
         g = Hypergraph.from_edges(4, 3, [(0, 1, 2)]).padded(10)

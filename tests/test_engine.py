@@ -20,7 +20,7 @@ from bootperc import (
 )
 from bootperc.core import supersets
 
-from helpers import iterate_step, random_hypergraph
+from helpers import forbid_revalidation, iterate_step, random_hypergraph
 
 
 def near_complete(n: int, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
@@ -253,6 +253,25 @@ class TestProcessProperties:
                         [t[:p] + t[p + 1:] for p in range(4)] if f != e)
                     for t in supersets(e, n, 4)
                 )
+
+
+class TestFinalGraph:
+    def test_final_graph_is_not_validated_again(self, monkeypatch):
+        g = build_base(2).graph
+        forbid_revalidation(monkeypatch)
+        fast, naive = run_fast(g), run_naive(g)
+        assert fast.final_graph == naive.final_graph
+        assert fast.final_graph.edges == g.edges | fast.trace.all_edges()
+
+    @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_closure_is_monotone_in_the_initial_graph(self, r, m, data):
+        h = data.draw(small_graphs(r, m, 7))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
+        g = Hypergraph.from_edges(h.n, r, [e for e, k in zip(h, keep) if k])
+        for run in (run_fast, run_naive):
+            assert run(g, m=m).final_graph.edges <= run(h, m=m).final_graph.edges
 
 
 def relabeled(g: Hypergraph, ids: list[int], n: int) -> Hypergraph:

@@ -14,7 +14,10 @@ from bootperc.io import (
     emit_trace,
     parse_certificate,
     parse_graph,
+    read_document,
 )
+
+from helpers import forbid_revalidation
 
 
 def k34_doc() -> str:
@@ -71,6 +74,17 @@ class TestCertificateRoundTrip:
         assert '"apex"' not in text
         assert parse_certificate(text).to_certificate() == cert
 
+    def test_certificate_is_built_once_per_document(self, monkeypatch):
+        cert = build_base(2)
+        text = emit_certificate(cert)
+        forbid_revalidation(monkeypatch)
+        doc = parse_certificate(text)
+        assert doc.to_certificate() is doc.to_certificate()
+        assert doc.to_certificate() == cert
+        assert doc.to_hypergraph() is doc.to_certificate().graph
+        built = CertificateDocument.from_certificate(cert)
+        assert built.to_certificate() is built.to_certificate()
+
     def test_accepts_certificate_directly(self):
         cert = build_base(2)
         assert emit_certificate(cert) == emit_certificate(
@@ -99,6 +113,10 @@ class TestParseErrors:
             parse_graph('{\n  "format_version": "1",\n  broken\n}')
         assert exc_info.value.code == "syntax"
         assert exc_info.value.line == 3
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        for parse in (parse_graph, parse_certificate, read_document):
+            self.assert_code("[" * 200_000, "syntax", parse=parse)
 
     def test_top_level_must_be_object(self):
         self.assert_code("[1, 2]", "schema")
@@ -172,6 +190,48 @@ class TestParseErrors:
         self.assert_code(
             rewrite(text, lambda d: d.pop("k")), "schema", parse=parse_certificate
         )
+
+
+def base2_doc() -> str:
+    return emit_certificate(build_base(2))
+
+
+READ_ERRORS = [
+    (parse_graph, lambda: "\n{nope", "syntax"),
+    (parse_graph, lambda: "[1, 2]", "schema"),
+    (parse_graph, lambda: rewrite(k34_doc(), lambda d: d.update(format_version="2")), "version"),
+    (parse_graph, lambda: rewrite(k34_doc(), lambda d: d["edges"].append([0, 1])), "arity"),
+    (parse_graph, lambda: rewrite(k34_doc(), lambda d: d["edges"].append([1, 1, 2])),
+     "duplicate-vertex"),
+    (parse_graph, lambda: rewrite(k34_doc(), lambda d: d["edges"].append([1, 2, 4])), "id-range"),
+    (parse_graph, lambda: rewrite(k34_doc(), lambda d: d["edges"].append([1, 2, 3])),
+     "duplicate-edge"),
+    (parse_graph, lambda: rewrite(k34_doc(), lambda d: d["edges"].insert(0, [1, 2, 3])),
+     "not-canonical"),
+    (parse_certificate, lambda: rewrite(base2_doc(), lambda d: d.pop("k")), "schema"),
+    (parse_certificate, lambda: rewrite(base2_doc(), lambda d: d["sequence"].append([0, 1])),
+     "arity"),
+    (parse_certificate, lambda: rewrite(base2_doc(), lambda d: d.update(predicted_t=99)),
+     "certificate"),
+]
+
+
+class TestReadDocument:
+    def test_returns_the_document_type(self):
+        graph = read_document(k34_doc())
+        assert isinstance(graph, GraphDocument) and graph == parse_graph(k34_doc())
+        assert graph.to_hypergraph() == Hypergraph.complete(4, 3)
+        cert = read_document(base2_doc())
+        assert isinstance(cert, CertificateDocument) and cert == parse_certificate(base2_doc())
+        assert cert.to_hypergraph() == build_base(2).graph
+
+    @pytest.mark.parametrize("parse, make, code", READ_ERRORS)
+    def test_raises_the_codes_of_the_typed_parsers(self, parse, make, code):
+        text = make()
+        for reader in (parse, read_document):
+            with pytest.raises(DocumentError) as exc_info:
+                reader(text)
+            assert exc_info.value.code == code
 
 
 class TestEmitTrace:
