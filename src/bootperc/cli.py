@@ -91,12 +91,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = io.parse_certificate(Path(args.infile).read_text(encoding="utf-8")).to_certificate()
     report = verify.verify_sequential(cert, max_tuples=args.max_tuples)
-    for name, ok in (
-        ("property_i", report.property_i),
-        ("property_ii", report.property_ii),
-        ("property_iii", report.property_iii),
-    ):
-        print(f"{name}={'pass' if ok else 'fail'}")
+    for name in ("property_i", "property_ii", "property_iii"):
+        print(f"{name}={'pass' if getattr(report, name) else 'fail'}")
     print(
         f"measured_T_forward={report.measured_t_forward} "
         f"measured_T_reverse={report.measured_t_reverse}"

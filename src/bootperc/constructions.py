@@ -375,14 +375,21 @@ def k_for_n(r: int, n: int) -> int:
     return (n + 3 * r) // (4 * r)
 
 
+_MAX_POWER_BITS = 1 << 16  # n**r, r**r and comb(n, r) this large take about 20 ms
+
+
 def theorem_bounds(r: int, n: int) -> Bounds:
     """Exact lower and upper running-time bounds for uniformity r on n vertices.
 
     Emits a warning (not an error) when n < 2r^2, below which the lower
-    bound is not guaranteed.
+    bound is not guaranteed.  ValueError when n**r or r**r could pass
+    2^16 bits, OverflowError when the analytic cap overflows a float.
     """
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
+    bits = r * max(abs(n), r).bit_length()  # bounds the bits of n**r and r**r
+    if bits > _MAX_POWER_BITS:
+        raise ValueError(f"n**r or r**r would have up to {bits} bits, above {_MAX_POWER_BITS}")
     if n < 2 * r * r:
         warnings.warn(
             f"n = {n} is below 2r^2 = {2 * r * r}; the lower bound is not guaranteed",

@@ -15,6 +15,9 @@ Two engines produce identical per-step traces:
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
   big-int ANDs decide every tuple through a frontier edge at once.
 
+``verify`` recounts with ``_naive_generations`` and replays several
+starts from one seeded ``_LinkState`` (``add``, ``fire``, ``copy``).
+
 The two share no update code: :func:`run_naive` recounts the tuples
 that :func:`core.supersets` enumerates, :func:`run_fast` reads link
 masks.
@@ -26,7 +29,9 @@ against.
 
 from __future__ import annotations
 
+import copy
 import itertools
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -72,17 +77,10 @@ class InfectionTrace:
 
     def step_map(self) -> dict[Edge, int]:
         """Map each traced edge to its 1-based infection step."""
-        out: dict[Edge, int] = {}
-        for i, s in enumerate(self.steps):
-            for e in s:
-                out[e] = i + 1
-        return out
+        return {e: i for i, s in enumerate(self.steps, 1) for e in s}
 
     def all_edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for s in self.steps:
-            out |= s
-        return frozenset(out)
+        return frozenset().union(*self.steps)
 
 
 @dataclass(frozen=True)
@@ -142,33 +140,40 @@ def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:
     return RunResult(final_graph=final, trace=trace, running_time=len(steps))
 
 
-def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
-    """Iterate synchronous generations until stationary.
-
-    Candidate tuples per generation are the supersets of the previous
-    generation's newly infected edges (all of g0 for the first), each
-    re-checked against the current edge set; no cross-step bookkeeping.
-    """
-    m = _check_m(g0, m)
-    r = g0.r
-    infected = set(g0.edges)
-    steps: list[frozenset[Edge]] = []
-    frontier: set[Edge] | frozenset[Edge] = g0.edges
+def _naive_generations(
+    n: int, r: int, m: int, infected: set[Edge], frontier: Collection[Edge]
+) -> Iterator[frozenset[Edge]]:
+    """Yield each generation's new edges, added to ``infected``, recounting
+    the m-tuples through the previous generation's edges (first ``frontier``)."""
     while frontier:
         candidates: set[tuple[int, ...]] = set()
         for e in frontier:
-            candidates.update(supersets(e, g0.n, m))
+            candidates.update(supersets(e, n, m))
         new: set[Edge] = set()
         for t in candidates:
             e = _unique_missing(t, r, infected)
             if e is not None:
                 new.add(e)
         if not new:
-            break
+            return
         infected |= new
-        steps.append(frozenset(new))
+        yield frozenset(new)
         frontier = new
-    return _result(g0, steps)
+
+
+def run_naive(
+    g0: Hypergraph, m: int | None = None, *, frontier: Iterable[Edge] | None = None
+) -> RunResult:
+    """Iterate synchronous generations until stationary.
+
+    Candidate tuples per generation are the supersets of the previous
+    generation's newly infected edges (of ``frontier``, default all of
+    g0, for the first), each re-checked against the current edge set.
+    A smaller ``frontier`` is exact when no m-tuple avoiding it fires.
+    """
+    m = _check_m(g0, m)
+    start = g0.edges if frontier is None else frozenset(frontier)
+    return _result(g0, list(_naive_generations(g0.n, g0.r, m, set(g0.edges), start)))
 
 
 def _bits(x: int) -> list[int]:
@@ -192,85 +197,114 @@ def _over_budget(budget: int) -> TupleBudgetExceeded:
     )
 
 
-def run_fast(
-    g0: Hypergraph,
-    m: int | None = None,
-    max_tuples: int | None = None,
-) -> RunResult:
-    """Link-mask engine; identical RunResult to :func:`run_naive` on every input.
+def _budget(max_tuples: int | None) -> int:
+    budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
+    if budget < 0:
+        raise ValueError(f"max_tuples must be >= 0, got {budget}")
+    return budget
 
-    Edges are vertex bitmasks, and ``link[S]``, for an (r-1)-set S, has
-    bit v set when S | {v} is infected.  The m-tuples through an edge e
-    are e plus m - r added vertices, taken in ascending order.  With U
+
+class _LinkState:
+    """Link masks of an infected graph that grows one level at a time.
+
+    Edges are vertex bitmasks inside, and ``link[S]``, for an (r-1)-set S,
+    has bit v set when S | {v} is infected.  The m-tuples through an edge
+    e are e plus m - r added vertices, taken in ascending order.  With U
     the edge and the vertices added so far, the facets a next vertex v
     brings are S | {v} for the (r-1)-subsets S of U, so the planes
     ``link[S]`` decide them for every v at once: v is kept while at most
     one facet of the tuple is missing, and the last vertex fires that
-    one facet.  Level 0 is the initial edge set and level i the edges
-    infected at step i; the facets fired through the edges of a level
-    form the next level, and enter ``link`` only after it, so steps stay
-    synchronous.  The run ends at the first empty level.
-
-    ``max_tuples`` caps the number of distinct m-tuples meeting the
-    infected graph, counted as each edge enters ``link``; a negative cap
-    raises ValueError.
+    one facet.  ``touched`` counts the distinct m-tuples meeting the
+    graph; :meth:`add` raises TupleBudgetExceeded past ``budget``.
     """
-    m = _check_m(g0, m)
-    budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
-    if budget < 0:
-        raise ValueError(f"max_tuples must be >= 0, got {budget}")
-    n, r = g0.n, g0.r
-    if not g0.edges:
-        return _result(g0, [])
-    if comb(n - r, m - r) > budget:
-        # the first edge alone meets that many tuples; no n-bit mask is built
-        raise _over_budget(budget)
-    full = (1 << n) - 1
-    link: dict[int, int] = {}
 
-    def subsets(e: int) -> list[list[int]]:
+    def __init__(self, n: int, r: int, m: int, budget: int) -> None:
+        if comb(n - r, m - r) > budget:
+            # any one edge meets that many tuples; no n-bit mask is built
+            raise _over_budget(budget)
+        self.r, self.m, self.budget = r, m, budget
+        self.full = (1 << n) - 1
+        self.link: dict[int, int] = {}
+        self.touched = 0
+
+    def copy(self) -> _LinkState:
+        other = copy.copy(self)
+        other.link = dict(self.link)
+        return other
+
+    def add(self, edges: Iterable[Edge]) -> list[tuple[int, list[list[int]]]]:
+        """Count the tuples each edge newly meets and enter it in ``link``; return their level."""
+        r, link, full, k = self.r, self.link, self.full, self.m - self.r
+        level = []
+        for e in edges:
+            f = 0
+            for v in e:
+                f |= 1 << v
+            subs = self._subsets(f)
+            vals = [link.get(x, 0) for x in subs[r - 1]]
+            self.touched += self._count(subs, vals, full & ~f, k)
+            if self.touched > self.budget:
+                raise _over_budget(self.budget)
+            for x, v in zip(subs[r - 1], vals):
+                link[x] = v | (f ^ x)
+            level.append((f, subs))
+        return level
+
+    def fire(self, level: list) -> frozenset[Edge]:
+        """The uninfected facets that m-tuples through the edges of ``level`` fire."""
+        r, link, full, k, fire = self.r, self.link, self.full, self.m - self.r, self._fire
+        new: set[int] = set()
+        for e, subs in level:
+            fire(subs, [link.get(x, 0) for x in subs[r - 1]], full & ~e, k, None, new)
+        return frozenset(map(_vertices, new))
+
+    def run(self, level: list) -> list[frozenset[Edge]]:
+        """Steps fired from ``level`` on; each enters ``link`` after its level fires."""
+        steps = []
+        while new := self.fire(level):
+            steps.append(new)
+            level = self.add(new)
+        return steps
+
+    def _subsets(self, e: int) -> list[list[int]]:
         """subs[j]: the j-subsets of e, for every j >= r - (m - r)."""
-        ebits = _bits(e)
-        lo = max(2 * r - m, 0)  # levels below lo are never read
+        r, ebits = self.r, _bits(e)
+        lo = max(2 * r - self.m, 0)  # levels below lo are never read
         return (
             [[]] * lo
             + [[sum(c) for c in itertools.combinations(ebits, j)] for j in range(lo, r - 1)]
             + [[e ^ b for b in ebits]]
         )
 
-    def grow(
-        subs: list[list[int]], vals: list[int], b: int, k: int
-    ) -> tuple[list[list[int]], list[int]]:
+    def _grow(self, subs: list[list[int]], vals: list[int], b: int, k: int) -> tuple[list, list]:
         """subs and planes of U | {b} from those of U, with k - 1 vertices left to add."""
+        r = self.r
         out = [
             (subs[j] + [x | b for x in subs[j - 1]] if j else subs[0]) if j > r - k else []
             for j in range(r)
         ]
-        return out, vals + [link.get(x, 0) for x in out[r - 1][len(vals):]]
+        return out, vals + [self.link.get(x, 0) for x in out[r - 1][len(vals):]]
 
-    def count(subs: list[list[int]], vals: list[int], cand: int, k: int) -> int:
+    def _count(self, subs: list[list[int]], vals: list[int], cand: int, k: int) -> int:
         """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A."""
         for v in vals:
             cand &= ~v
         if k == 1:
             return cand.bit_count()
         return sum(
-            count(*grow(subs, vals, b, k), cand & -(b << 1), k - 1) for b in _bits(cand)
+            self._count(*self._grow(subs, vals, b, k), cand & -(b << 1), k - 1)
+            for b in _bits(cand)
         )
 
-    def fire(
-        subs: list[list[int]],
-        vals: list[int],
-        cand: int,
-        k: int,
-        missing: int | None,
+    def _fire(
+        self, subs: list[list[int]], vals: list[int], cand: int, k: int, missing: int | None,
         new: set[int],
     ) -> None:
         """Add to ``new`` the facets fired by tuples U | A, A k vertices from ``cand``.
 
         ``missing`` is the one uninfected facet inside U, if any.
         """
-        keys = subs[r - 1]
+        keys = subs[self.r - 1]
         prefix = [cand]  # prefix[i]: cand and the first i planes
         for v in vals:
             prefix.append(prefix[-1] & v)
@@ -281,7 +315,7 @@ def run_fast(
                     new.add(missing)
                 return
             for b in _bits(all_in):
-                fire(*grow(subs, vals, b, k), all_in & -(b << 1), k - 1, missing, new)
+                self._fire(*self._grow(subs, vals, b, k), all_in & -(b << 1), k - 1, missing, new)
             return
         one = []  # (i, the vertices of cand in every plane but plane i and not in it)
         suffix = -1
@@ -298,36 +332,24 @@ def run_fast(
         for _, plane in one:
             at_most_one |= plane
         for b in _bits(all_in):
-            fire(*grow(subs, vals, b, k), at_most_one & -(b << 1), k - 1, None, new)
+            self._fire(*self._grow(subs, vals, b, k), at_most_one & -(b << 1), k - 1, None, new)
         for i, plane in one:
             for b in _bits(plane):
-                fire(*grow(subs, vals, b, k), all_in & -(b << 1), k - 1, keys[i] | b, new)
+                self._fire(
+                    *self._grow(subs, vals, b, k), all_in & -(b << 1), k - 1, keys[i] | b, new
+                )
 
-    touched = 0
 
-    def add(edges) -> list[tuple[int, list[list[int]]]]:
-        """Count the tuples each edge newly meets, then enter it in ``link``."""
-        nonlocal touched
-        level = []
-        for f in edges:
-            subs = subsets(f)
-            vals = [link.get(x, 0) for x in subs[r - 1]]
-            touched += count(subs, vals, full & ~f, m - r)
-            if touched > budget:
-                raise _over_budget(budget)
-            for x, v in zip(subs[r - 1], vals):
-                link[x] = v | (f ^ x)
-            level.append((f, subs))
-        return level
+def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None) -> RunResult:
+    """Link-mask engine; identical RunResult to :func:`run_naive` on every input.
 
-    level = add(sum(1 << v for v in e) for e in g0.edges)
-    steps: list[set[int]] = []
-    while True:
-        new: set[int] = set()
-        for e, subs in level:
-            fire(subs, [link.get(x, 0) for x in subs[r - 1]], full & ~e, m - r, None, new)
-        if not new:
-            break
-        steps.append(new)
-        level = add(new)
-    return _result(g0, [frozenset(map(_vertices, s)) for s in steps])
+    Seeds a ``_LinkState`` with g0, then fires levels until one is empty.
+    ``max_tuples`` caps the distinct m-tuples meeting the infected graph;
+    a negative cap raises ValueError.
+    """
+    m = _check_m(g0, m)
+    budget = _budget(max_tuples)
+    if not g0.edges:
+        return _result(g0, [])
+    state = _LinkState(g0.n, g0.r, m, budget)
+    return _result(g0, state.run(state.add(g0.edges)))

@@ -2,7 +2,8 @@
 
 ``verify_sequential`` replays a certificate three ways (forward,
 ignition removed, last edge swapped in for the ignition) and reports
-whether each replay matches the predicted sequence exactly.
+whether each replay matches the predicted sequence exactly.  All three
+start from one link state seeded with the graph minus the ignition.
 
 ``brute_force_max_time`` exhausts every initial graph on a tiny vertex
 set, encoded as bitmasks over the canonical edge list.  The masks are
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph, facets, supersets
-from .engine import run_fast, run_naive, step
+from .engine import _budget, _LinkState, _naive_generations, run_naive, step
 
 __all__ = [
     "VerificationReport",
@@ -74,8 +76,7 @@ class VerificationReport:
 
 
 def _compare_to_sequence(
-    trace_steps: tuple[frozenset[Edge], ...],
-    expected: list[Edge],
+    trace_steps: list[frozenset[Edge]], expected: Sequence[Edge]
 ) -> Divergence | None:
     """First step where the trace differs from one-edge-per-step expectations."""
     for s in range(1, max(len(trace_steps), len(expected)) + 1):
@@ -92,39 +93,52 @@ def verify_sequential(
     """Replay a certificate and check its three defining properties.
 
     (i) the graph infects exactly ``sequence[i]`` at step i and then
-    halts; (ii) the graph minus the ignition edge is stationary;
-    (iii) swapping the ignition edge for the last sequence edge infects
-    the sequence in exact reverse order.
+    halts; (ii) the headless graph H, the graph minus the ignition edge,
+    is stationary; (iii) swapping the ignition edge for the last sequence
+    edge infects the sequence in exact reverse order.
 
-    Structural inconsistencies raise :class:`CertificateError` at
-    certificate construction time and are therefore never reported
-    here; the fast engine is cross-checked against the naive one on
-    small inputs and any mismatch raises :class:`EngineDisagreement`.
+    One link state seeded with H serves every replay: (ii) holds when it
+    fires nothing over H, which ``step`` or one naive generation through
+    H, whichever visits fewer tuples, must confirm.  The forward replay
+    adds the ignition to a copy, the reverse one the last sequence edge
+    to the seed; each fires only that edge first if (ii) holds, else all
+    of H with it.  ``max_tuples`` bounds each replay as in
+    :func:`run_fast`.  While C(n, r+1) <= NAIVE_CROSS_CHECK_LIMIT the
+    naive engine replays the forward run too.  Any disagreement raises
+    :class:`EngineDisagreement`; structural faults raise
+    :class:`CertificateError` when the certificate is built.
     """
     g = cert.graph
-    small = comb(g.n, g.r + 1) <= NAIVE_CROSS_CHECK_LIMIT
+    n, r = g.n, g.r
+    h = g.without(cert.ignition)
+    seed = _LinkState(n, r, r + 1, _budget(max_tuples))
+    h_level = seed.add(h.edges)
+    fired = seed.fire(h_level)
+    if comb(n, r + 1) <= len(h) * (n - r):
+        recount = step(h)
+    else:
+        recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
+    if fired != recount:
+        raise EngineDisagreement("link state and recount disagree on the headless graph")
+    first = h_level if fired else []  # if H fires, tuples avoiding the added edge fire too
 
-    forward = run_fast(g, max_tuples=max_tuples)
-    if small and run_naive(g).trace != forward.trace:
-        raise EngineDisagreement("fast and naive engines diverge on the forward replay")
-    divergence = _compare_to_sequence(forward.trace.steps, list(cert.sequence[1:]))
-    property_i = divergence is None and forward.running_time == cert.predicted_t
+    forward_state = seed.copy()
+    forward = forward_state.run(first + forward_state.add([cert.ignition]))
+    if comb(n, r + 1) <= NAIVE_CROSS_CHECK_LIMIT:
+        naive = run_naive(g, frontier=None if fired else [cert.ignition])
+        if naive.trace.steps != tuple(forward):
+            raise EngineDisagreement("fast and naive engines diverge on the forward replay")
+    divergence = _compare_to_sequence(forward, cert.sequence[1:])
 
-    property_ii = not step(g.without(cert.ignition))
-
-    reverse_start = g.without(cert.ignition).with_edges([cert.sequence[-1]])
-    reverse = run_fast(reverse_start, max_tuples=max_tuples)
-    expected_reverse = [cert.sequence[cert.predicted_t - i] for i in range(1, cert.predicted_t + 1)]
-    reverse_divergence = _compare_to_sequence(reverse.trace.steps, expected_reverse)
-    property_iii = reverse_divergence is None
-
+    reverse = seed.run(first + seed.add([cert.sequence[-1]]))
+    reverse_divergence = _compare_to_sequence(reverse, cert.sequence[:-1][::-1])
     return VerificationReport(
-        property_i=property_i,
-        property_ii=property_ii,
-        property_iii=property_iii,
+        property_i=divergence is None and len(forward) == cert.predicted_t,
+        property_ii=not fired,
+        property_iii=reverse_divergence is None,
         first_divergence=divergence if divergence is not None else reverse_divergence,
-        measured_t_forward=forward.running_time,
-        measured_t_reverse=reverse.running_time,
+        measured_t_forward=len(forward),
+        measured_t_reverse=len(reverse),
     )
 
 

@@ -1,11 +1,27 @@
-"""Shared test helpers: a dumb reference replay and random instance generators."""
+"""Shared test helpers: dumb reference replays and random instance generators."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
-from bootperc import Edge, Hypergraph, step
+from bootperc import (
+    Edge,
+    Hypergraph,
+    SequentialCertificate,
+    build_base,
+    engine,
+    run_fast,
+    run_naive,
+    step,
+)
+from bootperc.verify import (
+    NAIVE_CROSS_CHECK_LIMIT,
+    EngineDisagreement,
+    VerificationReport,
+    _compare_to_sequence,
+)
 
 
 def iterate_step(g: Hypergraph, m: int | None = None) -> list[frozenset[Edge]]:
@@ -33,3 +49,60 @@ def forbid_revalidation(monkeypatch) -> None:
         raise AssertionError("Hypergraph.__post_init__ re-validated a graph")
 
     monkeypatch.setattr(Hypergraph, "__post_init__", refuse)
+
+
+def reference_verify_sequential(
+    cert: SequentialCertificate, max_tuples: int | None = None
+) -> VerificationReport:
+    """Reference replay check: three independent replays from scratch.
+
+    The forward and reverse starts each run through ``run_fast``, the
+    forward one through ``run_naive`` as well while C(n, r+1) stays
+    under NAIVE_CROSS_CHECK_LIMIT, and ``step`` sweeps every tuple of
+    the headless graph.
+    """
+    g = cert.graph
+    forward = run_fast(g, max_tuples=max_tuples)
+    if comb(g.n, g.r + 1) <= NAIVE_CROSS_CHECK_LIMIT and run_naive(g).trace != forward.trace:
+        raise EngineDisagreement("fast and naive engines diverge on the forward replay")
+    divergence = _compare_to_sequence(list(forward.trace.steps), list(cert.sequence[1:]))
+    property_ii = not step(g.without(cert.ignition))
+    reverse = run_fast(g.without(cert.ignition).with_edges([cert.sequence[-1]]), max_tuples=max_tuples)
+    expected_reverse = [cert.sequence[cert.predicted_t - i] for i in range(1, cert.predicted_t + 1)]
+    reverse_divergence = _compare_to_sequence(list(reverse.trace.steps), expected_reverse)
+    return VerificationReport(
+        property_i=divergence is None and forward.running_time == cert.predicted_t,
+        property_ii=property_ii,
+        property_iii=reverse_divergence is None,
+        first_divergence=divergence if divergence is not None else reverse_divergence,
+        measured_t_forward=forward.running_time,
+        measured_t_reverse=reverse.running_time,
+    )
+
+
+def refuse_sweep(*args, **kwargs):
+    """Stand-in for ``step`` where sweeping all C(n, r+1) tuples must not happen."""
+    raise AssertionError("step swept every tuple")
+
+
+def padded_base(n: int) -> SequentialCertificate:
+    """The k = 2 seed certificate with isolated vertices up to n."""
+    cert = build_base(2)
+    return SequentialCertificate(
+        graph=cert.graph.padded(n), ignition=cert.ignition, sequence=cert.sequence,
+        r=3, k=2, predicted_t=cert.predicted_t, apex=cert.apex,
+    )
+
+
+def inject_headless_fire(monkeypatch, edge) -> None:
+    """Make the link state's first ``fire`` (over the headless graph) also return ``edge``."""
+    true_fire = engine._LinkState.fire
+    calls = []
+
+    def faulty(self, level):
+        calls.append(None)
+        fired = true_fire(self, level)
+        return fired | {edge} if len(calls) == 1 else fired
+
+    monkeypatch.setattr(engine._LinkState, "fire", faulty)
+

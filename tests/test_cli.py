@@ -4,7 +4,9 @@ import pytest
 
 from bootperc import Hypergraph, build_base, constructions, verify
 from bootperc.cli import main
-from bootperc.io import emit_certificate, emit_graph
+from bootperc.io import CertificateDocument, emit_certificate, emit_graph
+
+from helpers import inject_headless_fire, padded_base, refuse_sweep
 
 
 @pytest.fixture()
@@ -157,6 +159,13 @@ class TestVerify:
         corrupt_sequence_entry(base_cert_file, 5, (0, 1, 9))  # already in the graph
         assert main(["verify", "--in", str(base_cert_file)]) == 2
 
+    def test_padded_vertex_set_needs_no_sweep(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "padded.cert.json"
+        path.write_text(emit_certificate(CertificateDocument.from_certificate(padded_base(800))))
+        monkeypatch.setattr(verify, "step", refuse_sweep)
+        assert main(["verify", "--in", str(path)]) == 0
+        assert "measured_T_forward=12 measured_T_reverse=12" in capsys.readouterr().out
+
 
 class TestVerifyInput:
     def test_graph_document_is_a_schema_error(self, tmp_path, capsys):
@@ -195,6 +204,14 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("r, n", [("1000000", "367000"), ("1000000000", "0")])
+    def test_huge_power_is_refused_before_it_is_built(self, r, n, capsys):
+        assert main(["bounds", "--r", r, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bits" in captured.err and "Traceback" not in captured.err
 
 
 class TestBrute:
@@ -250,6 +267,15 @@ class TestInternalInconsistency:
         assert captured.out == ""
         assert "internal inconsistency" in captured.err
         assert "engines diverge" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_verify_link_state_and_recount_disagree(self, base_cert_file, capsys, monkeypatch):
+        inject_headless_fire(monkeypatch, (0, 1, 2))
+        assert main(["verify", "--in", str(base_cert_file)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal inconsistency: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
 

@@ -86,6 +86,11 @@ class TestRunNaive:
         cert = build_base(k)
         assert run_naive(cert.graph.without(cert.ignition)).running_time == 0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_frontier_of_the_ignition_is_exact(self, k):
+        cert = build_base(k)
+        assert run_naive(cert.graph, frontier=[cert.ignition]) == run_naive(cert.graph)
+
     def test_base_one_edge_per_step(self):
         cert = build_base(2)
         res = run_naive(cert.graph)
@@ -170,7 +175,9 @@ def small_graphs(draw, r: int, n_min: int, n_max: int) -> Hypergraph:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("r, m, n_max", [(2, 3, 8), (2, 4, 8), (4, 6, 8)])
+    @pytest.mark.parametrize(
+        "r, m, n_max", [(2, 3, 8), (2, 4, 8), (4, 6, 8), (3, 4, 7), (3, 5, 7), (4, 5, 7)]
+    )
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data())
     def test_drawn_instances_all_three_engines(self, r, m, n_max, data):

@@ -3,10 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc import (
     Hypergraph,
     SearchCapExceeded,
+    SequentialCertificate,
+    TupleBudgetExceeded,
     brute_force_max_time,
     build_base,
     build_full,
@@ -17,9 +21,16 @@ from bootperc import (
     verify,
     verify_sequential,
 )
+from bootperc.core import supersets
 from bootperc.verify import EngineDisagreement, _chunk_planes, _generations, _tuple_facets
 
-from helpers import random_hypergraph
+from helpers import (
+    inject_headless_fire,
+    padded_base,
+    random_hypergraph,
+    reference_verify_sequential,
+    refuse_sweep,
+)
 
 
 class TestVerifySequential:
@@ -88,6 +99,90 @@ class TestVerifySequential:
         assert not report.property_i and not report.property_iii
         assert report.property_ii
         assert report.first_divergence[0] == 3
+
+
+BASES = (build_base(2), build_base(3), build_full(3, 2))
+
+
+def with_graph(cert: SequentialCertificate, edges) -> SequentialCertificate:
+    """``cert`` with another graph that still holds the ignition and no later sequence edge."""
+    graph = Hypergraph.from_edges(cert.graph.n, cert.r, edges)
+    return SequentialCertificate(
+        graph=graph, ignition=cert.ignition, sequence=cert.sequence, r=cert.r, k=cert.k,
+        predicted_t=cert.predicted_t, apex=cert.apex,
+    )
+
+
+def completing_edges(cert: SequentialCertificate) -> list[tuple[int, ...]]:
+    """Edges that, added to the headless graph, leave one (r+1)-tuple one facet short."""
+    headless = cert.graph.without(cert.ignition)
+    later = set(cert.sequence[1:])
+    out = set()
+    for t in itertools.combinations(range(cert.graph.n), cert.r + 1):
+        missing = [f for f in itertools.combinations(t, cert.r) if f not in headless]
+        if len(missing) == 2 and cert.ignition not in missing:
+            out.update(f for f in missing if f not in later)
+    return sorted(out)
+
+
+COMPLETING = tuple(completing_edges(cert) for cert in BASES)
+
+
+@st.composite
+def mutated_certificates(draw) -> SequentialCertificate:
+    """A base certificate with a few edges removed and added, invariants kept."""
+    base = draw(st.sampled_from(range(len(BASES))))
+    cert = BASES[base]
+    n, r = cert.graph.n, cert.r
+    later = set(cert.sequence[1:])
+    removable = sorted(cert.graph.edges - {cert.ignition})
+    removed = draw(st.sets(st.sampled_from(removable), max_size=3))
+    edge = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(lambda s: tuple(sorted(s)))
+    pool = st.one_of(edge, st.sampled_from(COMPLETING[base]))
+    added = draw(st.sets(pool.filter(lambda e: e not in later), max_size=3))
+    return with_graph(cert, (cert.graph.edges - removed) | added)
+
+
+def tuples_meeting(g: Hypergraph) -> int:
+    return len({t for e in g.edges for t in supersets(e, g.n, g.r + 1)})
+
+
+class TestSeededReplay:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(cert=mutated_certificates())
+    def test_reports_and_budget_equal_the_reference(self, cert):
+        report = verify_sequential(cert)
+        assert report == reference_verify_sequential(cert)
+        # the smallest budget under which the reference's two run_fast replays pass
+        reverse_start = cert.graph.without(cert.ignition).with_edges([cert.sequence[-1]])
+        budget = max(
+            tuples_meeting(run_fast(start).final_graph) for start in (cert.graph, reverse_start)
+        )
+        for check in (reference_verify_sequential, verify_sequential):
+            assert check(cert, max_tuples=budget) == report
+            with pytest.raises(TupleBudgetExceeded):
+                check(cert, max_tuples=budget - 1)
+
+    @pytest.mark.parametrize("base", range(len(BASES)))
+    def test_headless_graph_that_fires_is_replayed_exactly(self, base):
+        cert = BASES[base]
+        for e in COMPLETING[base][::7]:
+            mutated = with_graph(cert, cert.graph.edges | {e})
+            report = verify_sequential(mutated)
+            assert not report.property_ii
+            assert report == reference_verify_sequential(mutated)
+
+    def test_injected_link_state_fault_is_an_engine_disagreement(self, monkeypatch):
+        inject_headless_fire(monkeypatch, (0, 1, 2))
+        with pytest.raises(EngineDisagreement, match="headless graph"):
+            verify_sequential(build_base(2))
+
+    def test_padded_vertex_set_needs_no_sweep(self, monkeypatch):
+        # C(800, 4) = 1.7e10 tuples; the naive recount visits 20 * 797 instead
+        monkeypatch.setattr(verify, "step", refuse_sweep)
+        report = verify_sequential(padded_base(800))
+        assert report.all_passed
+        assert report.measured_t_forward == report.measured_t_reverse == 12
 
 
 class TestCheckDensity:
