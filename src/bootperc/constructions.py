@@ -15,6 +15,10 @@ runs for Theta(n^r) steps:
 
 Sequences are generated from closed forms, never by running the
 engine, so an engine replay is an independent check of both.
+
+Ids are layer-major and each apex is its stage's largest vertex, so the
+generators build sorted tuples and check none: :meth:`Hypergraph.from_edges`
+checks each stage's graph and :class:`SequentialCertificate` its sequence.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class SequentialCertificate:
 
     ``sequence[0]`` is the ignition edge (the only sequence edge inside
     the graph); replaying the graph must infect exactly ``sequence[i]``
-    at step i.  ``apex`` is the vertex shared by every sequence edge,
-    or None for glued (terminal) certificates.
+    at step i; each is a sorted tuple.  ``apex`` is the vertex shared by
+    every sequence edge, or None for glued (terminal) certificates.
     """
 
     graph: Hypergraph
@@ -79,7 +83,8 @@ class SequentialCertificate:
         if len(set(self.sequence)) != len(self.sequence):
             raise CertificateError("sequence edges are not pairwise distinct")
         for i, edge in enumerate(self.sequence):
-            make_edge(edge, r=self.r, n=g.n)
+            if make_edge(edge, r=self.r, n=g.n) != edge:
+                raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
             if i >= 1 and edge in g:
                 raise CertificateError(f"sequence[{i}] already lies in the graph")
         if self.predicted_t != len(self.sequence) - 1:
@@ -137,7 +142,7 @@ def predicted_base_edge(k: int, i: int) -> Edge:
         j1, j2 = 4 * k - 2 * s - 1, 12 * k - 10 * s - 1 - offset
     else:
         j1, j2 = 16 * k - 14 * s - 3 - offset, 2 * s + 1
-    return make_edge((_vid(1, j1, k), _vid(2, j2, k), _vid(3, 1, k)))
+    return (_vid(1, j1, k), _vid(2, j2, k), _vid(3, 1, k))
 
 
 def _scaffold_edges(k: int) -> set[Edge]:
@@ -152,19 +157,19 @@ def _scaffold_edges(k: int) -> set[Edge]:
     for i in range(1, k):
         lo, hi = 2 * i - 1, 4 * k - 2 - 2 * i
         families.append(
-            [make_edge((_vid(1, lo, k), _vid(2, j, k), _vid(2, j + 1, k)))
+            [(_vid(1, lo, k), _vid(2, j, k), _vid(2, j + 1, k))
              for j in range(lo, hi + 1)]
         )
         families.append(
-            [make_edge((_vid(1, j, k), _vid(1, j + 1, k), _vid(2, hi + 1, k)))
+            [(_vid(1, j, k), _vid(1, j + 1, k), _vid(2, hi + 1, k))
              for j in range(lo, hi + 1)]
         )
         families.append(
-            [make_edge((_vid(1, hi + 1, k), _vid(2, j, k), _vid(2, j + 1, k)))
+            [(_vid(1, hi + 1, k), _vid(2, j, k), _vid(2, j + 1, k))
              for j in range(lo + 2, hi + 1)]
         )
         families.append(
-            [make_edge((_vid(1, j, k), _vid(1, j + 1, k), _vid(2, lo + 2, k)))
+            [(_vid(1, j, k), _vid(1, j + 1, k), _vid(2, lo + 2, k))
              for j in range(lo + 2, hi + 1)]
         )
     flat = [e for fam in families for e in fam]
@@ -179,7 +184,7 @@ def _apex_strip_edges(k: int) -> set[Edge]:
     out: set[Edge] = set()
     for layer in (1, 2):
         for j in range(1, layer_width(k)):
-            out.add(make_edge((_vid(layer, j, k), _vid(layer, j + 1, k), apex)))
+            out.add((_vid(layer, j, k), _vid(layer, j + 1, k), apex))
     return out
 
 
@@ -195,7 +200,7 @@ def build_base(k: int) -> SequentialCertificate:
         raise ValueError(f"k must be >= 2, got {k}")
     n = 2 * layer_width(k) + 1
     apex = _vid(3, 1, k)
-    ignition = make_edge((_vid(1, 1, k), _vid(2, 1, k), apex))
+    ignition = (_vid(1, 1, k), _vid(2, 1, k), apex)
     edges = _scaffold_edges(k) | _apex_strip_edges(k) | {ignition}
     t1 = base_running_time(k)
     sequence = (ignition,) + tuple(predicted_base_edge(k, i) for i in range(1, t1 + 1))
@@ -208,10 +213,6 @@ def build_base(k: int) -> SequentialCertificate:
         predicted_t=t1,
         apex=apex,
     )
-
-
-def _strip_apex(edge: Edge, apex: int) -> tuple[int, ...]:
-    return tuple(v for v in edge if v != apex)
 
 
 def _bridge_gadget(
@@ -262,17 +263,12 @@ def glue(cert: SequentialCertificate, k: int) -> SequentialCertificate:
     def top(j: int) -> int:
         return _vid(r, j, k)
 
-    first_stub = _strip_apex(cert.ignition, apex)
-    last_stub = _strip_apex(cert.sequence[-1], apex)
+    # the apex is the largest vertex and a_j >= apex: stub + (a_j,) stays sorted
+    stubs = [edge[:-1] for edge in cert.sequence]
+    first_stub, last_stub = stubs[0], stubs[-1]
+    graph_stubs = [e[:-1] for e in cert.graph.edges if e[-1] == apex and e != cert.ignition]
 
-    edges: set[Edge] = set()
-    copies = 2 * k - 1
-    for j in range(1, copies + 1):
-        a_j = top(2 * j - 1)
-        for edge in cert.graph.edges:
-            if edge == cert.ignition:
-                continue
-            edges.add(make_edge(a_j if v == apex else v for v in edge))
+    edges = {e for e in cert.graph.edges if e[-1] != apex} | {cert.ignition}
     for j in range(1, k):
         edges |= _bridge_gadget(
             (top(4 * j - 3), top(4 * j - 2), top(4 * j - 1)), last_stub, r
@@ -280,19 +276,19 @@ def glue(cert: SequentialCertificate, k: int) -> SequentialCertificate:
         edges |= _bridge_gadget(
             (top(4 * j - 1), top(4 * j), top(4 * j + 1)), first_stub, r
         )
-    edges.add(cert.ignition)
 
-    stubs = [_strip_apex(edge, apex) for edge in cert.sequence]
     sequence: list[Edge] = []
+    copies = 2 * k - 1
     for j in range(1, copies + 1):
         a_j = top(2 * j - 1)
-        leg = [make_edge(stub + (a_j,)) for stub in stubs]
+        edges.update(stub + (a_j,) for stub in graph_stubs)
+        leg = [stub + (a_j,) for stub in stubs]
         if j % 2 == 0:
             leg.reverse()
         sequence.extend(leg)
         if j < copies:
             stub = last_stub if j % 2 == 1 else first_stub
-            sequence.append(make_edge(stub + (top(2 * j),)))
+            sequence.append(stub + (top(2 * j),))
 
     predicted = copies * cert.predicted_t + 4 * (k - 1)
     return SequentialCertificate(

@@ -12,6 +12,10 @@ invariant is rejected with a specific error code (``syntax``,
 ``duplicate-edge``, ``id-range``, ``not-canonical``, ``certificate``).
 :func:`read_document` reads either kind of document, telling a
 certificate by its ``ignition`` key.
+
+The parser checks every edge it reads, and a parsed document's graph
+takes them unchecked; a hand-built document's graph checks its edges in
+:meth:`Hypergraph.from_edges`, and :class:`SequentialCertificate` its sequence.
 """
 
 from __future__ import annotations
@@ -55,8 +59,19 @@ class DocumentError(ValueError):
         super().__init__(f"{code}: {message}{where}")
 
 
+class _DocumentGraph:
+    """A document's graph, built on first use unless the parser has set it."""
+
+    def to_hypergraph(self) -> Hypergraph:
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> Hypergraph:
+        return Hypergraph.from_edges(self.n, self.r, self.edges)
+
+
 @dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(_DocumentGraph):
     """Serializable form of a hypergraph, optionally with construction labels."""
 
     format_version: str
@@ -82,12 +97,9 @@ class GraphDocument:
             edges=g.sorted_edges,
         )
 
-    def to_hypergraph(self) -> Hypergraph:
-        return Hypergraph.from_edges(self.n, self.r, self.edges)
-
 
 @dataclass(frozen=True)
-class CertificateDocument:
+class CertificateDocument(_DocumentGraph):
     """Serializable form of a sequential certificate."""
 
     format_version: str
@@ -124,13 +136,10 @@ class CertificateDocument:
         """The document's certificate, built on the first call and shared after."""
         return self._built_certificate
 
-    def to_hypergraph(self) -> Hypergraph:
-        return self.to_certificate().graph
-
     @cached_property
     def _built_certificate(self) -> SequentialCertificate:
         return SequentialCertificate(
-            graph=Hypergraph.from_edges(self.n, self.r, self.edges),
+            graph=self._graph,
             ignition=self.ignition,
             sequence=self.sequence,
             r=self.r,
@@ -268,9 +277,7 @@ def _parse_edge(raw: Any, r: int, n: int) -> Edge:
 def _parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
     if not isinstance(raw, list):
         raise DocumentError("schema", "field 'edges' must be a list")
-    edges: list[Edge] = []
-    for item in raw:
-        edges.append(_parse_edge(item, r, n))
+    edges = [_parse_edge(item, r, n) for item in raw]
     for a, b in zip(edges, edges[1:]):
         if a == b:
             raise DocumentError("duplicate-edge", f"edge {list(a)} appears twice")
@@ -298,7 +305,22 @@ def _parse_labels(raw: Any, n: int) -> tuple[VertexLabel, ...]:
     return tuple(labels)
 
 
-def _parse_common(data: dict[str, Any]) -> tuple[str, int, int, int | None]:
+def parse_graph(text: str) -> GraphDocument:
+    """Parse and validate a canonical graph document."""
+    return _graph_document(_load_object(text))
+
+
+def _graph_document(data: dict[str, Any]) -> GraphDocument:
+    """Validate an already decoded graph document."""
+    _check_keys(data, required={"format_version", "r", "n", "edges"}, optional={"k", "labels"})
+    return _graph_fields(data)
+
+
+def _graph_fields(data: dict[str, Any]) -> GraphDocument:
+    """Validate the fields every document has, ``format_version`` to ``edges``.
+
+    Every edge is checked here, so the document's graph takes them unchecked.
+    """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise DocumentError("version", f"unsupported format_version {version!r}")
@@ -311,21 +333,11 @@ def _parse_common(data: dict[str, Any]) -> tuple[str, int, int, int | None]:
         k = _require_int(data, "k")
         if k < 1:
             raise DocumentError("schema", f"invalid k={k}")
-    return version, r, n, k
-
-
-def parse_graph(text: str) -> GraphDocument:
-    """Parse and validate a canonical graph document."""
-    return _graph_document(_load_object(text))
-
-
-def _graph_document(data: dict[str, Any]) -> GraphDocument:
-    """Validate an already decoded graph document."""
-    _check_keys(data, required={"format_version", "r", "n", "edges"}, optional={"k", "labels"})
-    version, r, n, k = _parse_common(data)
     labels = _parse_labels(data["labels"], n) if "labels" in data else None
     edges = _parse_edge_list(data["edges"], r, n)
-    return GraphDocument(format_version=version, r=r, n=n, k=k, labels=labels, edges=edges)
+    doc = GraphDocument(format_version=version, r=r, n=n, k=k, labels=labels, edges=edges)
+    object.__setattr__(doc, "_graph", Hypergraph._trusted(n, r, frozenset(edges)))
+    return doc
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -350,31 +362,29 @@ def _certificate(data: dict[str, Any]) -> CertificateDocument:
         required={"format_version", "r", "n", "k", "edges", "ignition", "sequence", "predicted_t"},
         optional={"labels", "apex"},
     )
-    version, r, n, k = _parse_common(data)
-    assert k is not None
-    labels = _parse_labels(data["labels"], n) if "labels" in data else None
-    edges = _parse_edge_list(data["edges"], r, n)
+    graph = _graph_fields(data)
+    r, n = graph.r, graph.n
+    assert graph.k is not None
     ignition = _parse_edge(data["ignition"], r, n)
     raw_seq = data["sequence"]
     if not isinstance(raw_seq, list):
         raise DocumentError("schema", "field 'sequence' must be a list")
     sequence = tuple(_parse_edge(item, r, n) for item in raw_seq)
     predicted_t = _require_int(data, "predicted_t")
-    apex: int | None = None
-    if "apex" in data:
-        apex = _require_int(data, "apex")
+    apex = _require_int(data, "apex") if "apex" in data else None
     doc = CertificateDocument(
-        format_version=version,
+        format_version=graph.format_version,
         r=r,
         n=n,
-        k=k,
-        labels=labels,
-        edges=edges,
+        k=graph.k,
+        labels=graph.labels,
+        edges=graph.edges,
         ignition=ignition,
         sequence=sequence,
         predicted_t=predicted_t,
         apex=apex,
     )
+    object.__setattr__(doc, "_graph", graph._graph)
     try:
         doc.to_certificate()
     except CertificateError as exc:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 from .constructions import SequentialCertificate
-from .core import Edge, Hypergraph, facets, supersets
+from .core import Edge, Hypergraph, supersets
 from .engine import _budget, _LinkState, _naive_generations, run_naive, step
 
 __all__ = [
@@ -142,11 +143,9 @@ def verify_sequential(
     )
 
 
-def _tuples_meeting(g: Hypergraph) -> list[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    for e in g.sorted_edges:
-        out.update(supersets(e, g.n, g.r + 1))
-    return sorted(out)
+def _facet_counts(g: Hypergraph) -> Counter[tuple[int, ...]]:
+    """Infected-facet count of every (r+1)-tuple meeting the graph."""
+    return Counter(t for e in g.edges for t in supersets(e, g.n, g.r + 1))
 
 
 def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:
@@ -155,20 +154,14 @@ def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:
     Returns the maximum together with the lexicographically smallest
     witness tuple attaining it (None on an empty graph).
     """
-    best = 0
-    witness: tuple[int, ...] | None = None
-    for t in _tuples_meeting(g):
-        count = sum(1 for f in facets(t) if f in g)
-        if count > best:
-            best, witness = count, t
-    return best, witness
+    counts = _facet_counts(g)
+    best = max(counts.values(), default=0)
+    return best, min((t for t, count in counts.items() if count == best), default=None)
 
 
 def clique_census(g: Hypergraph) -> frozenset[tuple[int, ...]]:
     """All (r+1)-tuples whose r+1 facets all lie in the graph."""
-    return frozenset(
-        t for t in _tuples_meeting(g) if all(f in g for f in facets(t))
-    )
+    return frozenset(t for t, count in _facet_counts(g).items() if count == g.r + 1)
 
 
 @dataclass(frozen=True)

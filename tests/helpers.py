@@ -12,9 +12,11 @@ from bootperc import (
     SequentialCertificate,
     build_base,
     engine,
+    facets,
     run_fast,
     run_naive,
     step,
+    supersets,
 )
 from bootperc.verify import (
     NAIVE_CROSS_CHECK_LIMIT,
@@ -106,3 +108,28 @@ def inject_headless_fire(monkeypatch, edge) -> None:
 
     monkeypatch.setattr(engine._LinkState, "fire", faulty)
 
+
+
+def _tuples_meeting(g: Hypergraph) -> list[tuple[int, ...]]:
+    out: set[tuple[int, ...]] = set()
+    for e in g.sorted_edges:
+        out.update(supersets(e, g.n, g.r + 1))
+    return sorted(out)
+
+
+def reference_check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:
+    """Reference density: count each meeting tuple's facets in lexicographic order."""
+    best = 0
+    witness: tuple[int, ...] | None = None
+    for t in _tuples_meeting(g):
+        count = sum(1 for f in facets(t) if f in g)
+        if count > best:
+            best, witness = count, t
+    return best, witness
+
+
+def reference_clique_census(g: Hypergraph) -> frozenset[tuple[int, ...]]:
+    """Reference census: the meeting tuples whose facets all lie in the graph."""
+    return frozenset(
+        t for t in _tuples_meeting(g) if all(f in g for f in facets(t))
+    )

@@ -4,8 +4,11 @@ from math import comb, floor
 
 import pytest
 
+import bootperc.constructions as constructions
+import bootperc.core as core
 from bootperc import (
     CertificateError,
+    Hypergraph,
     base_running_time,
     build_base,
     build_full,
@@ -18,7 +21,7 @@ from bootperc import (
     theorem_bounds,
     witness_for_n,
 )
-from bootperc.core import VertexLabel, label_to_id, layer_width
+from bootperc.core import VertexLabel, label_to_id, layer_width, make_edge
 
 
 def vid(layer, index, k):
@@ -318,6 +321,62 @@ class TestCertificateValidation:
                 predicted_t=12,
                 apex=0,
             )
+
+    @pytest.mark.parametrize(
+        "i, edge",
+        [(5, (9, 1, 0)), (3, (10, 8, 0))],
+        ids=["graph-edge-reversed", "own-edge-reversed"],
+    )
+    def test_sequence_edges_must_be_sorted(self, i, edge):
+        # (9, 1, 0) is the graph edge (0, 1, 9); (10, 8, 0) is sequence[3] itself
+        cert = build_base(2)
+        assert (0, 1, 9) in cert.graph and cert.sequence[3] == (0, 8, 10)
+        with pytest.raises(CertificateError, match="not a sorted tuple"):
+            type(cert)(
+                graph=cert.graph,
+                ignition=cert.ignition,
+                sequence=cert.sequence[:i] + (edge,) + cert.sequence[i + 1 :],
+                r=3,
+                k=2,
+                predicted_t=12,
+                apex=cert.apex,
+            )
+
+
+def stages(r, k):
+    """Every certificate ``build_full(r, k)`` passes through, the seed first."""
+    out = [build_base(k)]
+    for rho in range(3, r + 1):
+        out.append(glue(out[-1], k))
+        if rho < r:
+            out.append(lift(out[-1]))
+    return out
+
+
+class TestCanonicalConstruction:
+    @pytest.mark.parametrize("r,k", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2)])
+    def test_every_stage_is_canonical(self, r, k):
+        certs = stages(r, k)
+        for cert in certs:
+            g = cert.graph
+            assert Hypergraph(n=g.n, r=g.r, edges=g.edges) == g
+            assert all(
+                len(e) == cert.r and list(e) == sorted(set(e)) for e in cert.sequence
+            )
+        assert certs[-1] == build_full(r, k)
+
+    def test_build_full_checks_each_edge_once(self, monkeypatch):
+        limit = sum(len(c.graph) + len(c.sequence) for c in stages(4, 3))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return make_edge(*args, **kwargs)
+
+        monkeypatch.setattr(core, "make_edge", counting)
+        monkeypatch.setattr(constructions, "make_edge", counting)
+        build_full(4, 3)
+        assert 0 < len(calls) <= limit
 
 
 def test_scaffold_is_apex_free_and_strip_is_path_local():

@@ -1,10 +1,14 @@
 import io as stdio
 import json
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bootperc.core as core
 from bootperc import Hypergraph, build_base, build_full, run_fast, run_naive
-from bootperc.core import VertexLabel, id_to_label
+from bootperc.core import VertexLabel, VertexRangeError, id_to_label
 from bootperc.io import (
     CertificateDocument,
     DocumentError,
@@ -232,6 +236,107 @@ class TestReadDocument:
             with pytest.raises(DocumentError) as exc_info:
                 reader(text)
             assert exc_info.value.code == code
+
+
+INT_STANDINS = (True, "1", 1.0)
+
+
+@cache
+def fuzz_sources() -> tuple[list[str], list[str]]:
+    """Canonical graph and certificate documents, with and without optional fields."""
+    base = build_base(2)
+    labels = tuple(id_to_label(i, 2) for i in range(base.graph.n))
+    graphs = [
+        k34_doc(),
+        emit_graph(GraphDocument.from_hypergraph(base.graph, k=2, labels=labels)),
+        emit_graph(Hypergraph.from_edges(6, 2, [(0, 1), (1, 2), (2, 5), (3, 4)])),
+    ]
+    certificates = [
+        base2_doc(),
+        emit_certificate(CertificateDocument.from_certificate(base, labels=labels)),
+        emit_certificate(build_full(3, 2)),
+    ]
+    return graphs, certificates
+
+
+def mutate(data: dict, draw) -> str:
+    """Apply one drawn mutation to a decoded canonical document; return its error code."""
+    kind = draw(st.sampled_from(["vertex", "edge list", "integer"]))
+    if kind == "integer":
+        fields = [key for key in ("r", "n", "k", "predicted_t", "apex", "labels") if key in data]
+        field = draw(st.sampled_from(fields))
+        standin = draw(st.sampled_from(INT_STANDINS))
+        if field == "labels":
+            draw(st.sampled_from(data["labels"]))[draw(st.sampled_from(["layer", "index"]))] = standin
+        else:
+            data[field] = standin
+        return "schema"
+    if kind == "edge list":
+        edges = data["edges"]
+        i = draw(st.integers(min_value=0, max_value=len(edges) - 2))
+        if draw(st.booleans()):
+            edges.insert(i, list(edges[i]))
+            return "duplicate-edge"
+        edges[i], edges[i + 1] = edges[i + 1], edges[i]
+        return "not-canonical"
+    edges = data["edges"] + data.get("sequence", [])
+    if "ignition" in data:
+        edges.append(data["ignition"])
+    edge = draw(st.sampled_from(edges))
+    p = draw(st.integers(min_value=0, max_value=len(edge) - 2))  # every source has r >= 2
+    op = draw(st.sampled_from(["drop", "repeat", "swap", "below", "above", "standin"]))
+    if op == "drop":
+        del edge[p]
+        return "arity"
+    if op == "repeat":
+        edge[p + 1] = edge[p]
+        return "duplicate-vertex"
+    if op == "swap":
+        edge[p], edge[p + 1] = edge[p + 1], edge[p]
+        return "not-canonical"
+    if op == "below":
+        edge[0] = -1
+        return "id-range"
+    if op == "above":
+        edge[-1] = data["n"]
+        return "id-range"
+    edge[p] = draw(st.sampled_from(INT_STANDINS))
+    return "schema"
+
+
+class TestParseFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(certificate=st.booleans(), data=st.data())
+    def test_one_mutation_raises_its_code(self, certificate, data):
+        source = data.draw(st.sampled_from(fuzz_sources()[certificate]))
+        decoded = json.loads(source)
+        code = mutate(decoded, data.draw)
+        text = json.dumps(decoded)
+        for parse in (parse_certificate if certificate else parse_graph, read_document):
+            with pytest.raises(DocumentError) as exc_info:
+                parse(text)
+            assert exc_info.value.code == code
+
+    def test_parsing_checks_no_edge_twice(self, monkeypatch):
+        graph_text = emit_graph(GraphDocument.from_hypergraph(build_base(3).graph, k=3))
+        cert_text = emit_certificate(build_full(3, 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parsed edge was checked again")
+
+        monkeypatch.setattr(core, "make_edge", refuse)
+        docs = [parse_graph(graph_text), read_document(graph_text), parse_certificate(cert_text)]
+        graphs = [doc.to_hypergraph() for doc in docs]
+        cert = docs[-1].to_certificate()
+        monkeypatch.undo()
+        for doc, g in zip(docs, graphs):
+            assert g == Hypergraph.from_edges(doc.n, doc.r, doc.edges)
+        assert cert.graph is graphs[-1] and cert == build_full(3, 2)
+
+    def test_hand_built_document_checks_its_edges(self):
+        doc = GraphDocument(format_version="1", r=3, n=4, k=None, labels=None, edges=((0, 1, 4),))
+        with pytest.raises(VertexRangeError):
+            doc.to_hypergraph()
 
 
 class TestEmitTrace:

@@ -28,6 +28,8 @@ from helpers import (
     inject_headless_fire,
     padded_base,
     random_hypergraph,
+    reference_check_density,
+    reference_clique_census,
     reference_verify_sequential,
     refuse_sweep,
 )
@@ -226,6 +228,19 @@ class TestCliqueCensus:
         )
         assert len(expected) == cert.predicted_t
         assert clique_census(final) == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=0, max_value=9),
+    p=st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_density_and_census_match_the_facet_by_facet_reference(r, n, p, seed):
+    g = random_hypergraph(random.Random(seed), n, r, p)
+    assert check_density(g) == reference_check_density(g)
+    assert clique_census(g) == reference_clique_census(g)
 
 
 class TestBruteForce:
