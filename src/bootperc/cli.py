@@ -5,8 +5,8 @@ output goes to stdout, diagnostics to stderr; machine-readable output
 only via --out/--trace files.  Exit codes: 0 success/verified, 1
 verification or bound check failed, 2 invalid input or arguments, 3
 resource cap exceeded, 4 internal inconsistency (two engines or update
-rules that must agree did not, which is a bug in bootperc, not in the
-input).
+rules that must agree did not, or any other unexpected exception: a bug
+in bootperc, not in the input), reported as one stderr line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from . import constructions, io, verify
 from .core import id_to_label
 from .engine import DEFAULT_MAX_TUPLES, TupleBudgetExceeded, run_fast, run_naive
-from .verify import EngineDisagreement, SearchCapExceeded
+from .verify import SearchCapExceeded
 
 __all__ = ["main"]
 
@@ -215,15 +215,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EngineDisagreement as exc:
-        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (TupleBudgetExceeded, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (io.DocumentError, UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # EngineDisagreement, or a fault no documented class covers
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ engine, so an engine replay is an independent check of both.
 
 Ids are layer-major and each apex is its stage's largest vertex, so the
 generators build sorted tuples and check none: :meth:`Hypergraph.from_edges`
-checks each stage's graph and :class:`SequentialCertificate` its sequence.
+checks the edges each stage builds and :class:`SequentialCertificate` its sequence.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ def glue(cert: SequentialCertificate, k: int) -> SequentialCertificate:
     first_stub, last_stub = stubs[0], stubs[-1]
     graph_stubs = [e[:-1] for e in cert.graph.edges if e[-1] == apex and e != cert.ignition]
 
-    edges = {e for e in cert.graph.edges if e[-1] != apex} | {cert.ignition}
+    kept = frozenset(e for e in cert.graph.edges if e[-1] != apex) | {cert.ignition}
+    edges: set[Edge] = set()
     for j in range(1, k):
         edges |= _bridge_gadget(
             (top(4 * j - 3), top(4 * j - 2), top(4 * j - 1)), last_stub, r
@@ -292,7 +293,7 @@ def glue(cert: SequentialCertificate, k: int) -> SequentialCertificate:
 
     predicted = copies * cert.predicted_t + 4 * (k - 1)
     return SequentialCertificate(
-        graph=Hypergraph.from_edges(r * w, r, edges),
+        graph=Hypergraph._trusted(r * w, r, kept | Hypergraph.from_edges(r * w, r, edges).edges),
         ignition=cert.ignition,
         sequence=tuple(sequence),
         r=r,

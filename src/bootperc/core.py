@@ -112,19 +112,33 @@ def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) ->
 
 
 def supersets(e: Edge, n: int, m: int) -> list[tuple[int, ...]]:
-    """All sorted m-vertex tuples over [0, n) containing edge ``e``.
+    """All sorted m-vertex tuples over [0, n) containing ``e``, in lex order of the
+    added vertex set (for m = len(e) + 1, the n - r single-vertex extensions).
+    ``e`` is sorted and checked once; :func:`_inserted` builds each tuple sorted."""
+    if m <= len(e):
+        raise ValueError(f"m must exceed the edge arity {len(e)}, got {m}")
+    s = make_edge(e, n=n)
+    return _inserted(s, 0, n, m - len(s))
 
-    For m = len(e) + 1 these are the n - r single-vertex extensions, in
-    ascending order of the added vertex set.
-    """
-    r = len(e)
-    if m <= r:
-        raise ValueError(f"m must exceed the edge arity {r}, got {m}")
-    if e and (e[0] < 0 or e[-1] >= n):
-        raise VertexRangeError(f"edge {e} out of range for n={n}")
-    present = set(e)
-    others = [v for v in range(n) if v not in present]
-    return [tuple(sorted(e + extra)) for extra in itertools.combinations(others, m - r)]
+
+def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
+    """``tail`` with k vertices of [lo, n) outside it inserted at their gaps, in lex order
+    of the k; every vertex of ``tail`` is at least ``lo``.  For k > 1 and a first added v
+    before tail[p], the rest are the last C(|(v, n) - tail[p:]|, k - 1) tuples of
+    ``_inserted(tail[p:], lo + 1, n, k - 1)``: those adding vertices above v only."""
+    out: list[tuple[int, ...]] = []
+    for p, hi in enumerate(tail + (n,)):
+        if lo < hi:
+            pre, suf = tail[:p], tail[p:]
+            if k == 1:
+                out += [pre + (v,) + suf for v in range(lo, hi)]
+            else:
+                rest = _inserted(suf, lo + 1, n, k - 1)
+                for v in range(lo, hi):
+                    head = pre + (v,)
+                    out += [head + q for q in rest[len(rest) - comb(n - v - 1 - len(suf), k - 1):]]
+        lo = hi + 1
+    return out
 
 
 def facets(t: tuple[int, ...]) -> list[Edge]:

@@ -7,10 +7,13 @@ the current graph appear in the same generation.
 
 Two engines produce identical per-step traces:
 
-* :func:`run_naive` re-checks the infection condition from scratch each
-  generation, restricting candidate tuples to supersets of the previous
-  generation's new edges (sound because an edge infectable at step i+1
-  but not at step i must share a tuple with a step-i edge).
+* :func:`run_naive` recounts, each generation, the m-tuples through the
+  previous generation's new edges (sound because an edge infectable at
+  step i+1 but not at step i must share a tuple with a step-i edge).
+  It streams them: :func:`core.supersets` builds each tuple sorted and
+  ``_recount`` scans its facets at once, so no candidate set is kept; a
+  tuple reached from two frontier edges is recounted twice, to the same
+  result.
 * :func:`run_fast` advances frontier levels on link masks: one int per
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
   big-int ANDs decide every tuple through a frontier edge at once.
@@ -18,13 +21,10 @@ Two engines produce identical per-step traces:
 ``verify`` recounts with ``_naive_generations`` and replays several
 starts from one seeded ``_LinkState`` (``add``, ``fire``, ``copy``).
 
-The two share no update code: :func:`run_naive` recounts the tuples
-that :func:`core.supersets` enumerates, :func:`run_fast` reads link
-masks.
-
-:func:`step` is the definitional single-generation sweep over all
-C(n, m) tuples; it is the slow reference the other two are tested
-against.
+The two share no update code: :func:`run_naive` recounts, :func:`run_fast`
+reads link masks.  :func:`step` is the definitional single-generation
+sweep of ``_recount`` over all C(n, m) tuples; it is the slow reference
+the other two are tested against.
 """
 
 from __future__ import annotations
@@ -103,15 +103,20 @@ def _check_m(g: Hypergraph, m: int | None) -> int:
     return m
 
 
-def _unique_missing(t: tuple[int, ...], r: int, present: frozenset[Edge] | set[Edge]) -> Edge | None:
-    """The single r-subset of t absent from ``present``, or None."""
-    missing: Edge | None = None
-    for f in itertools.combinations(t, r):
-        if f not in present:
+def _recount(tuples: Iterable[tuple[int, ...]], r: int, present: Collection[Edge]) -> set[Edge]:
+    """Every r-set that is the only r-subset of some tuple missing from ``present``."""
+    new: set[Edge] = set()
+    for t in tuples:
+        missing: Edge | None = None
+        for f in itertools.combinations(t, r):
+            if f not in present:
+                if missing is not None:
+                    break
+                missing = f
+        else:
             if missing is not None:
-                return None
-            missing = f
-    return missing
+                new.add(missing)
+    return new
 
 
 def step(g: Hypergraph, m: int | None = None) -> frozenset[Edge]:
@@ -120,12 +125,7 @@ def step(g: Hypergraph, m: int | None = None) -> frozenset[Edge]:
     Full sweep over all C(n, m) vertex tuples; definitional but slow.
     """
     m = _check_m(g, m)
-    new: set[Edge] = set()
-    for t in itertools.combinations(range(g.n), m):
-        e = _unique_missing(t, g.r, g.edges)
-        if e is not None:
-            new.add(e)
-    return frozenset(new)
+    return frozenset(_recount(itertools.combinations(range(g.n), m), g.r, g.edges))
 
 
 def is_stationary(g: Hypergraph, m: int | None = None) -> bool:
@@ -146,14 +146,8 @@ def _naive_generations(
     """Yield each generation's new edges, added to ``infected``, recounting
     the m-tuples through the previous generation's edges (first ``frontier``)."""
     while frontier:
-        candidates: set[tuple[int, ...]] = set()
-        for e in frontier:
-            candidates.update(supersets(e, n, m))
-        new: set[Edge] = set()
-        for t in candidates:
-            e = _unique_missing(t, r, infected)
-            if e is not None:
-                new.add(e)
+        tuples = itertools.chain.from_iterable(supersets(e, n, m) for e in frontier)
+        new = _recount(tuples, r, infected)
         if not new:
             return
         infected |= new
@@ -166,9 +160,9 @@ def run_naive(
 ) -> RunResult:
     """Iterate synchronous generations until stationary.
 
-    Candidate tuples per generation are the supersets of the previous
-    generation's newly infected edges (of ``frontier``, default all of
-    g0, for the first), each re-checked against the current edge set.
+    Each generation recounts the m-tuples through the previous
+    generation's newly infected edges (through ``frontier``, default all
+    of g0, for the first) against the current edge set.
     A smaller ``frontier`` is exact when no m-tuple avoiding it fires.
     """
     m = _check_m(g0, m)

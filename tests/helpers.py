@@ -38,6 +38,39 @@ def iterate_step(g: Hypergraph, m: int | None = None) -> list[frozenset[Edge]]:
         current = Hypergraph(n=current.n, r=current.r, edges=current.edges | new)
 
 
+def unique_missing(t: tuple[int, ...], r: int, present) -> Edge | None:
+    """The single r-subset of t absent from ``present``, or None (one tuple at a time)."""
+    missing: Edge | None = None
+    for f in itertools.combinations(t, r):
+        if f not in present:
+            if missing is not None:
+                return None
+            missing = f
+    return missing
+
+
+def reference_step(g: Hypergraph, m: int) -> frozenset[Edge]:
+    """Reference generation: ``unique_missing`` on each of the C(n, m) tuples."""
+    found = (unique_missing(t, g.r, g.edges) for t in itertools.combinations(range(g.n), m))
+    return frozenset(e for e in found if e is not None)
+
+
+def reference_naive_generations(
+    n: int, r: int, m: int, infected: set[Edge], frontier
+) -> list[frozenset[Edge]]:
+    """Reference recount: each generation's candidate tuples gathered in a set first."""
+    out: list[frozenset[Edge]] = []
+    while frontier:
+        candidates = {t for e in frontier for t in supersets(e, n, m)}
+        new = {e for e in (unique_missing(t, r, infected) for t in candidates) if e is not None}
+        if not new:
+            return out
+        infected |= new
+        out.append(frozenset(new))
+        frontier = new
+    return out
+
+
 def random_hypergraph(rng: random.Random, n: int, r: int, p: float) -> Hypergraph:
     """Each edge of the complete r-graph kept independently with probability p."""
     edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bootperc import Hypergraph, build_base, constructions, verify
+from bootperc import Hypergraph, build_base, cli, constructions, verify
 from bootperc.cli import main
 from bootperc.io import CertificateDocument, emit_certificate, emit_graph
 
@@ -267,6 +267,17 @@ class TestInternalInconsistency:
         assert captured.out == ""
         assert "internal inconsistency" in captured.err
         assert "engines diverge" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_bounds", broken)
+        assert main(["bounds", "--r", "3", "--n", "18"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal inconsistency: boom\n"
         assert "Traceback" not in captured.err
 
     def test_verify_link_state_and_recount_disagree(self, base_cert_file, capsys, monkeypatch):

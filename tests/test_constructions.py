@@ -378,6 +378,19 @@ class TestCanonicalConstruction:
         build_full(4, 3)
         assert 0 < len(calls) <= limit
 
+    def test_glue_checks_only_the_edges_it_builds(self, monkeypatch):
+        # 40,770 calls while glue re-checked the C(20, 5) = 15,504 tuples the last lift adds
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return make_edge(*args, **kwargs)
+
+        monkeypatch.setattr(core, "make_edge", counting)
+        monkeypatch.setattr(constructions, "make_edge", counting)
+        build_full(5, 2)
+        assert 0 < len(calls) <= 25_266
+
 
 def test_scaffold_is_apex_free_and_strip_is_path_local():
     cert = build_base(3)

@@ -80,6 +80,12 @@ class TestLabels:
         assert label_to_id(id_to_label(vid, k), k) == vid
 
 
+def sorting_supersets(e, n: int, m: int) -> list[tuple[int, ...]]:
+    """The definition: sort e plus each added set, the added sets in lex order."""
+    others = [v for v in range(n) if v not in e]
+    return [tuple(sorted(tuple(e) + x)) for x in itertools.combinations(others, m - len(e))]
+
+
 class TestSupersets:
     def test_single_completion(self):
         assert supersets((0, 1, 2), n=4, m=4) == [(0, 1, 2, 3)]
@@ -96,6 +102,25 @@ class TestSupersets:
 
     def test_interleaved_vertices_stay_sorted(self):
         assert supersets((1, 3), n=5, m=3) == [(0, 1, 3), (1, 2, 3), (1, 3, 4)]
+
+    def test_matches_the_sorting_definition_exhaustively(self):
+        for n in range(10):
+            for r in range(n + 1):
+                for m in range(r + 1, n + 2):
+                    for e in itertools.combinations(range(n), r):
+                        assert supersets(e, n, m) == sorting_supersets(e, n, m), (e, n, m)
+
+    def test_unsorted_input_gets_the_sorted_list(self):
+        for e in itertools.combinations(range(7), 3):
+            for m in (4, 5, 6):
+                want = sorting_supersets(e, 7, m)
+                for shuffled in itertools.permutations(e):
+                    assert supersets(shuffled, 7, m) == want
+
+    @pytest.mark.parametrize("e", [(1, 1, 2), (2, 0, 2), (3, 3)])
+    def test_repeated_vertex_rejected(self, e):
+        with pytest.raises(DuplicateVertexError):
+            supersets(e, 5, len(e) + 1)
 
     @given(
         n=st.integers(min_value=3, max_value=10),

@@ -19,8 +19,15 @@ from bootperc import (
     step,
 )
 from bootperc.core import supersets
+from bootperc.engine import _naive_generations
 
-from helpers import forbid_revalidation, iterate_step, random_hypergraph
+from helpers import (
+    forbid_revalidation,
+    iterate_step,
+    random_hypergraph,
+    reference_naive_generations,
+    reference_step,
+)
 
 
 def near_complete(n: int, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
@@ -104,6 +111,18 @@ class TestRunNaive:
         assert res.final_graph.edges == g.edges | {missing}
         assert res.running_time == 1
 
+    def test_recount_streams_without_a_candidate_set(self):
+        # one generation's candidate tuples kept in a set peak near 11.5 MiB; streamed, under 1 MB
+        g = random_hypergraph(random.Random(5), 100, 2, 0.03)
+        tracemalloc.start()
+        try:
+            res = run_naive(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res == run_fast(g)
+        assert peak < 2 * 10**6
+
 
 class TestRunFast:
     def test_matches_naive_on_base(self):
@@ -176,7 +195,8 @@ def small_graphs(draw, r: int, n_min: int, n_max: int) -> Hypergraph:
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
-        "r, m, n_max", [(2, 3, 8), (2, 4, 8), (4, 6, 8), (3, 4, 7), (3, 5, 7), (4, 5, 7)]
+        "r, m, n_max",
+        [(2, 3, 8), (2, 4, 8), (2, 5, 8), (4, 6, 8), (3, 4, 7), (3, 5, 7), (4, 5, 7)],
     )
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data())
@@ -216,6 +236,20 @@ class TestEngineEquivalence:
             naive = run_naive(g)
             fast = run_fast(g)
             assert tuple(reference) == naive.trace.steps == fast.trace.steps
+
+
+class TestRecountAgainstPerTupleLoop:
+    @pytest.mark.parametrize("r, m", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6)])
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_step_and_naive_generations(self, r, m, data):
+        g = data.draw(small_graphs(r, m, 8))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
+        frontier = [e for e, k in zip(g, keep) if k]
+        assert step(g, m) == reference_step(g, m)
+        for start in (g.edges, frontier):
+            got = list(_naive_generations(g.n, r, m, set(g.edges), start))
+            assert got == reference_naive_generations(g.n, r, m, set(g.edges), start)
 
 
 class TestProcessProperties:
