@@ -11,10 +11,10 @@ downstream artifact is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
 

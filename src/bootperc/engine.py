@@ -9,14 +9,17 @@ Two engines produce identical per-step traces:
 
 * :func:`run_naive` recounts, each generation, the m-tuples through the
   previous generation's new edges (sound because an edge infectable at
-  step i+1 but not at step i must share a tuple with a step-i edge).
-  It streams them: :func:`core.supersets` builds each tuple sorted and
-  ``_recount`` scans its facets at once, so no candidate set is kept; a
-  tuple reached from two frontier edges is recounted twice, to the same
-  result.
+  step i+1 but not at step i must share a tuple with a step-i edge), or
+  through the uninfected edges when those are fewer (sound because a new
+  edge is uninfected and lies in the tuple that fires it).  It streams
+  them: :func:`core.supersets` builds each tuple sorted and ``_recount``
+  scans its facets at once, so no candidate set is kept; a tuple reached
+  from two edges of the side is recounted twice, to the same result.
 * :func:`run_fast` advances frontier levels on link masks: one int per
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
-  big-int ANDs decide every tuple through a frontier edge at once.
+  big-int ANDs decide every tuple through a frontier edge at once.  A
+  level gathers the vertices it fires per (r-1)-set and lists each
+  set's bits once, and its edges enter the next level as masks.
 
 ``verify`` recounts with ``_naive_generations`` and replays several
 starts from one seeded ``_LinkState`` (``add``, ``fire``, ``copy``).
@@ -143,14 +146,24 @@ def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:
 def _naive_generations(
     n: int, r: int, m: int, infected: set[Edge], frontier: Collection[Edge]
 ) -> Iterator[frozenset[Edge]]:
-    """Yield each generation's new edges, added to ``infected``, recounting
-    the m-tuples through the previous generation's edges (first ``frontier``)."""
+    """Yield each generation's new edges, added to ``infected``, recounting the
+    m-tuples through the previous generation's edges (first ``frontier``) or,
+    when fewer, the uninfected edges, a set built the first time it is smaller."""
+    total = comb(n, r)
+    uninfected: set[Edge] | None = None
     while frontier:
-        tuples = itertools.chain.from_iterable(supersets(e, n, m) for e in frontier)
+        side = frontier
+        if total - len(infected) < len(frontier):
+            if uninfected is None:
+                uninfected = {e for e in itertools.combinations(range(n), r) if e not in infected}
+            side = uninfected
+        tuples = itertools.chain.from_iterable(supersets(e, n, m) for e in side)
         new = _recount(tuples, r, infected)
         if not new:
             return
         infected |= new
+        if uninfected is not None:
+            uninfected -= new
         yield frozenset(new)
         frontier = new
 
@@ -160,10 +173,11 @@ def run_naive(
 ) -> RunResult:
     """Iterate synchronous generations until stationary.
 
-    Each generation recounts the m-tuples through the previous
-    generation's newly infected edges (through ``frontier``, default all
-    of g0, for the first) against the current edge set.
-    A smaller ``frontier`` is exact when no m-tuple avoiding it fires.
+    Each generation recounts against the current edge set the m-tuples
+    through the previous generation's newly infected edges (through
+    ``frontier``, default all of g0, for the first), or through the
+    uninfected edges when those are fewer.  A smaller ``frontier`` is
+    exact when every m-tuple that fires contains a frontier edge.
     """
     m = _check_m(g0, m)
     start = g0.edges if frontier is None else frozenset(frontier)
@@ -185,6 +199,14 @@ def _vertices(x: int) -> Edge:
     return tuple(b.bit_length() - 1 for b in _bits(x))
 
 
+def _mask(e: Edge) -> int:
+    """The vertex bitmask of an edge."""
+    f = 0
+    for v in e:
+        f |= 1 << v
+    return f
+
+
 def _over_budget(budget: int) -> TupleBudgetExceeded:
     return TupleBudgetExceeded(
         f"more than {budget} distinct m-tuples meet the infected graph; raise --max-tuples"
@@ -201,7 +223,7 @@ def _budget(max_tuples: int | None) -> int:
 class _LinkState:
     """Link masks of an infected graph that grows one level at a time.
 
-    Edges are vertex bitmasks inside, and ``link[S]``, for an (r-1)-set S,
+    Edges are vertex bitmasks in and out, and ``link[S]``, for an (r-1)-set S,
     has bit v set when S | {v} is infected.  The m-tuples through an edge
     e are e plus m - r added vertices, taken in ascending order.  With U
     the edge and the vertices added so far, the facets a next vertex v
@@ -226,14 +248,11 @@ class _LinkState:
         other.link = dict(self.link)
         return other
 
-    def add(self, edges: Iterable[Edge]) -> list[tuple[int, list[list[int]]]]:
+    def add(self, edges: Iterable[int]) -> list[tuple[int, list[list[int]]]]:
         """Count the tuples each edge newly meets and enter it in ``link``; return their level."""
         r, link, full, k = self.r, self.link, self.full, self.m - self.r
         level = []
-        for e in edges:
-            f = 0
-            for v in e:
-                f |= 1 << v
+        for f in edges:
             subs = self._subsets(f)
             vals = [link.get(x, 0) for x in subs[r - 1]]
             self.touched += self._count(subs, vals, full & ~f, k)
@@ -244,19 +263,22 @@ class _LinkState:
             level.append((f, subs))
         return level
 
-    def fire(self, level: list) -> frozenset[Edge]:
-        """The uninfected facets that m-tuples through the edges of ``level`` fire."""
+    def fire(self, level: list) -> set[int]:
+        """The uninfected facets that m-tuples through the edges of ``level`` fire.
+
+        ``new[S]`` gathers each v with S | {v} fired; its bits are listed once, at the end.
+        """
         r, link, full, k, fire = self.r, self.link, self.full, self.m - self.r, self._fire
-        new: set[int] = set()
+        new: dict[int, int] = {}
         for e, subs in level:
             fire(subs, [link.get(x, 0) for x in subs[r - 1]], full & ~e, k, None, new)
-        return frozenset(map(_vertices, new))
+        return {key | b for key, plane in new.items() for b in _bits(plane)}
 
     def run(self, level: list) -> list[frozenset[Edge]]:
         """Steps fired from ``level`` on; each enters ``link`` after its level fires."""
         steps = []
         while new := self.fire(level):
-            steps.append(new)
+            steps.append(frozenset(map(_vertices, new)))
             level = self.add(new)
         return steps
 
@@ -292,7 +314,7 @@ class _LinkState:
 
     def _fire(
         self, subs: list[list[int]], vals: list[int], cand: int, k: int, missing: int | None,
-        new: set[int],
+        new: dict[int, int],
     ) -> None:
         """Add to ``new`` the facets fired by tuples U | A, A k vertices from ``cand``.
 
@@ -306,7 +328,8 @@ class _LinkState:
         if missing is not None:
             if k == 1:
                 if all_in:
-                    new.add(missing)
+                    low = missing & -missing
+                    new[missing ^ low] = new.get(missing ^ low, 0) | low
                 return
             for b in _bits(all_in):
                 self._fire(*self._grow(subs, vals, b, k), all_in & -(b << 1), k - 1, missing, new)
@@ -320,7 +343,7 @@ class _LinkState:
             suffix &= vals[i]
         if k == 1:
             for i, plane in one:
-                new.update(keys[i] | b for b in _bits(plane))
+                new[keys[i]] = new.get(keys[i], 0) | plane
             return
         at_most_one = all_in
         for _, plane in one:
@@ -346,4 +369,4 @@ def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None
     if not g0.edges:
         return _result(g0, [])
     state = _LinkState(g0.n, g0.r, m, budget)
-    return _result(g0, state.run(state.add(g0.edges)))
+    return _result(g0, state.run(state.add(map(_mask, g0.edges))))

@@ -22,13 +22,12 @@ import itertools
 import os
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph, supersets
-from .engine import _budget, _LinkState, _naive_generations, run_naive, step
+from .engine import _budget, _LinkState, _mask, _naive_generations, run_naive, step
 
 __all__ = [
     "VerificationReport",
@@ -113,25 +112,25 @@ def verify_sequential(
     n, r = g.n, g.r
     h = g.without(cert.ignition)
     seed = _LinkState(n, r, r + 1, _budget(max_tuples))
-    h_level = seed.add(h.edges)
+    h_level = seed.add(map(_mask, h.edges))
     fired = seed.fire(h_level)
     if comb(n, r + 1) <= len(h) * (n - r):
         recount = step(h)
     else:
         recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
-    if fired != recount:
+    if fired != set(map(_mask, recount)):
         raise EngineDisagreement("link state and recount disagree on the headless graph")
     first = h_level if fired else []  # if H fires, tuples avoiding the added edge fire too
 
     forward_state = seed.copy()
-    forward = forward_state.run(first + forward_state.add([cert.ignition]))
+    forward = forward_state.run(first + forward_state.add([_mask(cert.ignition)]))
     if comb(n, r + 1) <= NAIVE_CROSS_CHECK_LIMIT:
         naive = run_naive(g, frontier=None if fired else [cert.ignition])
         if naive.trace.steps != tuple(forward):
             raise EngineDisagreement("fast and naive engines diverge on the forward replay")
     divergence = _compare_to_sequence(forward, cert.sequence[1:])
 
-    reverse = seed.run(first + seed.add([cert.sequence[-1]]))
+    reverse = seed.run(first + seed.add([_mask(cert.sequence[-1])]))
     reverse_divergence = _compare_to_sequence(reverse, cert.sequence[:-1][::-1])
     return VerificationReport(
         property_i=divergence is None and len(forward) == cert.predicted_t,
@@ -345,6 +344,8 @@ def brute_force_max_time(
     if workers == 1:
         results = [_scan_chunks(span) for span in ranges]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # one worker needs no pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunks, ranges))
     best_t, best_mask = -1, -1

@@ -58,10 +58,16 @@ def reference_step(g: Hypergraph, m: int) -> frozenset[Edge]:
 def reference_naive_generations(
     n: int, r: int, m: int, infected: set[Edge], frontier
 ) -> list[frozenset[Edge]]:
-    """Reference recount: each generation's candidate tuples gathered in a set first."""
+    """Reference recount: each generation's candidate tuples gathered in a set first.
+
+    They are the tuples through the frontier or, when fewer, through the
+    uninfected edges, listed afresh each generation.
+    """
     out: list[frozenset[Edge]] = []
     while frontier:
-        candidates = {t for e in frontier for t in supersets(e, n, m)}
+        uninfected = [e for e in itertools.combinations(range(n), r) if e not in infected]
+        side = uninfected if len(uninfected) < len(frontier) else frontier
+        candidates = {t for e in side for t in supersets(e, n, m)}
         new = {e for e in (unique_missing(t, r, infected) for t in candidates) if e is not None}
         if not new:
             return out
@@ -69,6 +75,20 @@ def reference_naive_generations(
         out.append(frozenset(new))
         frontier = new
     return out
+
+
+def count_supersets(monkeypatch) -> dict[str, int]:
+    """Count the engine's ``supersets`` calls and the tuples they return."""
+    counts = {"calls": 0, "tuples": 0}
+
+    def counting(e, n, m):
+        out = supersets(e, n, m)
+        counts["calls"] += 1
+        counts["tuples"] += len(out)
+        return out
+
+    monkeypatch.setattr(engine, "supersets", counting)
+    return counts
 
 
 def random_hypergraph(rng: random.Random, n: int, r: int, p: float) -> Hypergraph:
@@ -137,7 +157,7 @@ def inject_headless_fire(monkeypatch, edge) -> None:
     def faulty(self, level):
         calls.append(None)
         fired = true_fire(self, level)
-        return fired | {edge} if len(calls) == 1 else fired
+        return fired | {engine._mask(edge)} if len(calls) == 1 else fired
 
     monkeypatch.setattr(engine._LinkState, "fire", faulty)
 

@@ -22,6 +22,7 @@ from bootperc.core import supersets
 from bootperc.engine import _naive_generations
 
 from helpers import (
+    count_supersets,
     forbid_revalidation,
     iterate_step,
     random_hypergraph,
@@ -123,6 +124,13 @@ class TestRunNaive:
         assert res == run_fast(g)
         assert peak < 2 * 10**6
 
+    def test_dense_generations_recount_through_the_uninfected_edges(self, monkeypatch):
+        # through each generation's frontier alone this run recounts 410,326 tuples
+        g = random_hypergraph(random.Random(5), 100, 2, 0.03)
+        counts = count_supersets(monkeypatch)
+        assert run_naive(g) == run_fast(g)
+        assert counts["tuples"] <= 295_568
+
 
 class TestRunFast:
     def test_matches_naive_on_base(self):
@@ -193,6 +201,14 @@ def small_graphs(draw, r: int, n_min: int, n_max: int) -> Hypergraph:
     return Hypergraph.from_edges(n, r, [e for e, k in zip(edges, keep) if k])
 
 
+@st.composite
+def dense_graphs(draw, r: int, n_min: int, n_max: int) -> Hypergraph:
+    """Each edge kept with a drawn probability of at least 0.6."""
+    n = draw(st.integers(n_min, n_max))
+    p = draw(st.floats(0.6, 1.0))
+    return random_hypergraph(draw(st.randoms(use_true_random=False)), n, r, p)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "r, m, n_max",
@@ -204,6 +220,16 @@ class TestEngineEquivalence:
         g = data.draw(small_graphs(r, m, n_max))
         reference = iterate_step(g, m=m)
         assert tuple(reference) == run_naive(g, m=m).trace.steps == run_fast(g, m=m).trace.steps
+
+    @pytest.mark.parametrize("n, r, m", [(30, 2, 3), (30, 2, 4), (30, 3, 4), (20, 3, 5)])
+    def test_complete_graph_minus_a_sparse_subset(self, n, r, m):
+        # dense levels: many frontier edges share each (r-1)-set
+        rng = random.Random(n * r + m)
+        edges = [e for e in itertools.combinations(range(n), r) if rng.random() >= 0.3]
+        g = Hypergraph.from_edges(n, r, edges)
+        fast = run_fast(g, m=m)
+        assert fast == run_naive(g, m=m)
+        assert fast.running_time >= 1
 
     def test_random_small_instances_all_three_engines(self):
         rng = random.Random(0x5EED)
@@ -250,6 +276,30 @@ class TestRecountAgainstPerTupleLoop:
         for start in (g.edges, frontier):
             got = list(_naive_generations(g.n, r, m, set(g.edges), start))
             assert got == reference_naive_generations(g.n, r, m, set(g.edges), start)
+
+    @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
+    def test_dense_graphs_from_all_of_g0(self, r, m, monkeypatch):
+        counts = count_supersets(monkeypatch)
+        took_uninfected = []
+
+        @settings(derandomize=True, max_examples=40, deadline=None)
+        @given(g=dense_graphs(r, m, 9))
+        def check(g):
+            counts["calls"] = 0
+            got = list(_naive_generations(g.n, r, m, set(g.edges), g.edges))
+            assert got == iterate_step(g, m)
+            # each generation recounts through the smaller of its frontier and the uninfected edges
+            calls, infected, frontier = 0, len(g), len(g)
+            for new in [*map(len, got), 0]:
+                if not frontier:
+                    break
+                calls += min(frontier, comb(g.n, r) - infected)
+                infected, frontier = infected + new, new
+            assert counts["calls"] == calls
+            took_uninfected.append(calls < len(g) + sum(map(len, got)))
+
+        check()
+        assert any(took_uninfected)
 
 
 class TestProcessProperties:

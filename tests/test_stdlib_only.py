@@ -1,6 +1,8 @@
 """The runtime imports nothing outside the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,14 @@ def test_sources_are_found():
 def test_imports_only_the_standard_library(path):
     outside = {m for m in absolute_imports(path) if m.split(".")[0] not in sys.stdlib_module_names}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_import_does_not_load_the_process_pool():
+    # brute imports it only to run more than one worker
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, bootperc.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

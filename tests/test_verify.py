@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import random
@@ -319,7 +320,7 @@ class TestBruteForce:
                 return map(fn, items)
 
         expected = brute_force_max_time(3, 5)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         assert brute_force_max_time(3, 4, jobs=32).max_t == 1  # one chunk, one range
         assert started == []
