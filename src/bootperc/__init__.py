@@ -1,89 +1,12 @@
 """Bootstrap percolation on complete uniform hypergraphs: exact engines,
 extremal constructions, and verification tooling."""
 
-from .constructions import (
-    Bounds,
-    CertificateError,
-    SequentialCertificate,
-    base_running_time,
-    build_base,
-    build_full,
-    full_running_time,
-    glue,
-    k_for_n,
-    lift,
-    predicted_base_edge,
-    theorem_bounds,
-    witness_for_n,
-)
-from .core import (
-    Edge,
-    Hypergraph,
-    VertexLabel,
-    facets,
-    id_to_label,
-    label_to_id,
-    make_edge,
-    supersets,
-)
-from .engine import (
-    InfectionTrace,
-    RunResult,
-    TupleBudgetExceeded,
-    is_stationary,
-    run_fast,
-    run_naive,
-    step,
-)
-from .verify import (
-    BruteForceResult,
-    EngineDisagreement,
-    SearchCapExceeded,
-    VerificationReport,
-    brute_force_max_time,
-    check_density,
-    clique_census,
-    verify_sequential,
-)
+from . import constructions, core, engine, verify
+from .constructions import *  # noqa: F403
+from .core import *  # noqa: F403
+from .engine import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Edge",
-    "Hypergraph",
-    "VertexLabel",
-    "make_edge",
-    "label_to_id",
-    "id_to_label",
-    "supersets",
-    "facets",
-    "InfectionTrace",
-    "RunResult",
-    "TupleBudgetExceeded",
-    "step",
-    "run_naive",
-    "run_fast",
-    "is_stationary",
-    "SequentialCertificate",
-    "CertificateError",
-    "Bounds",
-    "base_running_time",
-    "full_running_time",
-    "build_base",
-    "predicted_base_edge",
-    "glue",
-    "lift",
-    "build_full",
-    "theorem_bounds",
-    "k_for_n",
-    "witness_for_n",
-    "VerificationReport",
-    "BruteForceResult",
-    "EngineDisagreement",
-    "SearchCapExceeded",
-    "verify_sequential",
-    "check_density",
-    "clique_census",
-    "brute_force_max_time",
-    "__version__",
-]
+__all__ = [*core.__all__, *engine.__all__, *constructions.__all__, *verify.__all__, "__version__"]

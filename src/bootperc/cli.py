@@ -12,14 +12,13 @@ in bootperc, not in the input), reported as one stderr line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from pathlib import Path
 
 from . import constructions, io, verify
 from .core import id_to_label
-from .engine import DEFAULT_MAX_TUPLES, TupleBudgetExceeded, run_fast, run_naive
+from .engine import TupleBudgetExceeded, run_fast, run_naive
 from .verify import SearchCapExceeded
 
 __all__ = ["main"]
@@ -30,22 +29,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-MAX_TUPLES_ENV = "BOOTPERC_MAX_TUPLES"
-
 
 class UsageError(ValueError):
     """Invalid parameter combination caught after argument parsing."""
-
-
-def _default_max_tuples() -> int:
-    raw = os.environ.get(MAX_TUPLES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_TUPLES
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer {MAX_TUPLES_ENV}={raw!r}", file=sys.stderr)
-        return DEFAULT_MAX_TUPLES
 
 
 def _labels_for(n: int, k: int):
@@ -139,21 +125,13 @@ def cmd_check_base(args: argparse.Namespace) -> int:
         raise UsageError(f"k must be >= 2, got {args.k}")
     cert = constructions.build_base(args.k)
     density, _ = verify.check_density(cert.graph.without(cert.ignition))
-    replay = run_fast(cert.graph, max_tuples=args.max_tuples)
-    mismatch: int | None = None
-    if replay.running_time != cert.predicted_t:
-        mismatch = min(replay.running_time, cert.predicted_t) + 1
-    else:
-        for i in range(1, cert.predicted_t + 1):
-            if replay.trace.at(i) != {constructions.predicted_base_edge(args.k, i)}:
-                mismatch = i
-                break
-    ok = density <= 2 and mismatch is None
+    report = verify.verify_sequential(cert, max_tuples=args.max_tuples)
+    replay = "ok" if report.property_i else f"mismatch at step {report.first_divergence[0]}"
     print(
         f"density_max={density} predicted_T={cert.predicted_t} "
-        f"measured_T={replay.running_time} replay={'ok' if mismatch is None else f'mismatch at step {mismatch}'}"
+        f"measured_T={report.measured_t_forward} replay={replay}"
     )
-    return EXIT_OK if ok else EXIT_FAILED
+    return EXIT_OK if density <= 2 and report.property_i else EXIT_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,12 +156,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("fast", "naive"), default="fast")
     p.add_argument("--m", type=int, default=None, help="clique size (default r+1)")
     p.add_argument("--trace", metavar="PATH", help="write the per-edge trace here")
-    p.add_argument("--max-tuples", type=int, default=_default_max_tuples())
+    p.add_argument("--max-tuples", type=int)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="replay-check a stored certificate")
     p.add_argument("--in", dest="infile", metavar="PATH", required=True)
-    p.add_argument("--max-tuples", type=int, default=_default_max_tuples())
+    p.add_argument("--max-tuples", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="print exact running-time bounds for (r, n)")
@@ -201,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-base", help="density and closed-form replay check of the seed")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-tuples", type=int, default=_default_max_tuples())
+    p.add_argument("--max-tuples", type=int)
     p.set_defaults(func=cmd_check_base)
 
     return parser

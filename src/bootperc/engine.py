@@ -7,14 +7,15 @@ the current graph appear in the same generation.
 
 Two engines produce identical per-step traces:
 
-* :func:`run_naive` recounts, each generation, the m-tuples through the
-  previous generation's new edges (sound because an edge infectable at
-  step i+1 but not at step i must share a tuple with a step-i edge), or
-  through the uninfected edges when those are fewer (sound because a new
-  edge is uninfected and lies in the tuple that fires it).  It streams
-  them: :func:`core.supersets` builds each tuple sorted and ``_recount``
-  scans its facets at once, so no candidate set is kept; a tuple reached
-  from two edges of the side is recounted twice, to the same result.
+* :func:`run_naive` recounts, each generation, whichever of three sides
+  has the fewest tuples: the m-tuples through the previous generation's
+  new edges (sound because an edge infectable at step i+1 but not at
+  step i must share a tuple with a step-i edge), those through the
+  uninfected edges (sound because a new edge is uninfected and lies in
+  the tuple that fires it), or all C(n, m) tuples.  It streams them:
+  :func:`core.supersets` builds each tuple sorted and ``_recount`` scans
+  its facets at once, so no candidate set is kept; a tuple reached from
+  two edges of a side is recounted twice, to the same result.
 * :func:`run_fast` advances frontier levels on link masks: one int per
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
   big-int ANDs decide every tuple through a frontier edge at once.  A
@@ -147,17 +148,22 @@ def _naive_generations(
     n: int, r: int, m: int, infected: set[Edge], frontier: Collection[Edge]
 ) -> Iterator[frozenset[Edge]]:
     """Yield each generation's new edges, added to ``infected``, recounting the
-    m-tuples through the previous generation's edges (first ``frontier``) or,
-    when fewer, the uninfected edges, a set built the first time it is smaller."""
-    total = comb(n, r)
+    side with the fewest tuples: the m-tuples through the previous generation's
+    edges (first ``frontier``), those through the uninfected edges (a set built
+    the first time it is used), or all C(n, m) tuples."""
+    total, sweep, per_edge = comb(n, r), comb(n, m), comb(n - r, m - r)
     uninfected: set[Edge] | None = None
     while frontier:
-        side = frontier
-        if total - len(infected) < len(frontier):
-            if uninfected is None:
-                uninfected = {e for e in itertools.combinations(range(n), r) if e not in infected}
-            side = uninfected
-        tuples = itertools.chain.from_iterable(supersets(e, n, m) for e in side)
+        fewer = min(len(frontier), total - len(infected))
+        if sweep <= fewer * per_edge:
+            tuples = itertools.combinations(range(n), m)
+        else:
+            side = frontier
+            if fewer < len(frontier):
+                if uninfected is None:
+                    uninfected = {e for e in itertools.combinations(range(n), r) if e not in infected}
+                side = uninfected
+            tuples = itertools.chain.from_iterable(supersets(e, n, m) for e in side)
         new = _recount(tuples, r, infected)
         if not new:
             return
@@ -173,11 +179,12 @@ def run_naive(
 ) -> RunResult:
     """Iterate synchronous generations until stationary.
 
-    Each generation recounts against the current edge set the m-tuples
-    through the previous generation's newly infected edges (through
-    ``frontier``, default all of g0, for the first), or through the
-    uninfected edges when those are fewer.  A smaller ``frontier`` is
-    exact when every m-tuple that fires contains a frontier edge.
+    Each generation recounts against the current edge set whichever has
+    the fewest tuples: the m-tuples through the previous generation's
+    newly infected edges (through ``frontier``, default all of g0, for
+    the first), those through the uninfected edges, or all C(n, m)
+    tuples.  A smaller ``frontier`` is exact when every m-tuple that
+    fires contains a frontier edge.
     """
     m = _check_m(g0, m)
     start = g0.edges if frontier is None else frozenset(frontier)

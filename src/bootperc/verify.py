@@ -27,7 +27,7 @@ from math import comb
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph, supersets
-from .engine import _budget, _LinkState, _mask, _naive_generations, run_naive, step
+from .engine import _budget, _LinkState, _mask, _naive_generations, run_naive
 
 __all__ = [
     "VerificationReport",
@@ -98,8 +98,8 @@ def verify_sequential(
     edge infects the sequence in exact reverse order.
 
     One link state seeded with H serves every replay: (ii) holds when it
-    fires nothing over H, which ``step`` or one naive generation through
-    H, whichever visits fewer tuples, must confirm.  The forward replay
+    fires nothing over H, which one naive generation from H, on the
+    naive engine's cheapest side, must confirm.  The forward replay
     adds the ignition to a copy, the reverse one the last sequence edge
     to the seed; each fires only that edge first if (ii) holds, else all
     of H with it.  ``max_tuples`` bounds each replay as in
@@ -114,10 +114,7 @@ def verify_sequential(
     seed = _LinkState(n, r, r + 1, _budget(max_tuples))
     h_level = seed.add(map(_mask, h.edges))
     fired = seed.fire(h_level)
-    if comb(n, r + 1) <= len(h) * (n - r):
-        recount = step(h)
-    else:
-        recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
+    recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
     if fired != set(map(_mask, recount)):
         raise EngineDisagreement("link state and recount disagree on the headless graph")
     first = h_level if fired else []  # if H fires, tuples avoiding the added edge fire too

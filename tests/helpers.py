@@ -61,13 +61,17 @@ def reference_naive_generations(
     """Reference recount: each generation's candidate tuples gathered in a set first.
 
     They are the tuples through the frontier or, when fewer, through the
-    uninfected edges, listed afresh each generation.
+    uninfected edges, listed afresh each generation, or all C(n, m)
+    tuples when those are no more than the tuples through that side.
     """
     out: list[frozenset[Edge]] = []
     while frontier:
         uninfected = [e for e in itertools.combinations(range(n), r) if e not in infected]
         side = uninfected if len(uninfected) < len(frontier) else frontier
-        candidates = {t for e in side for t in supersets(e, n, m)}
+        if comb(n, m) <= len(side) * comb(n - r, m - r):
+            candidates = set(itertools.combinations(range(n), m))
+        else:
+            candidates = {t for e in side for t in supersets(e, n, m)}
         new = {e for e in (unique_missing(t, r, infected) for t in candidates) if e is not None}
         if not new:
             return out
@@ -135,9 +139,21 @@ def reference_verify_sequential(
     )
 
 
-def refuse_sweep(*args, **kwargs):
-    """Stand-in for ``step`` where sweeping all C(n, r+1) tuples must not happen."""
-    raise AssertionError("step swept every tuple")
+def refuse_sweep(monkeypatch, limit: int) -> None:
+    """Make the engine's ``_recount`` raise once one call is handed more than ``limit`` tuples.
+
+    It reads at most ``limit + 1`` of them, so a sweep over all C(n, m)
+    tuples fails at once instead of running to the end.
+    """
+    true_recount = engine._recount
+
+    def bounded(tuples, r, present):
+        tuples = list(itertools.islice(tuples, limit + 1))
+        if len(tuples) > limit:
+            raise AssertionError(f"a recount was handed more than {limit} tuples")
+        return true_recount(tuples, r, present)
+
+    monkeypatch.setattr(engine, "_recount", bounded)
 
 
 def padded_base(n: int) -> SequentialCertificate:

@@ -121,22 +121,12 @@ class TestRun:
 
     def test_huge_vertex_count_hits_the_default_cap(self, tmp_path, monkeypatch, capsys):
         # one edge on 10^9 vertices meets 10^9 - 2 triangles, past the 10^8 default
-        monkeypatch.delenv("BOOTPERC_MAX_TUPLES", raising=False)
         path = tmp_path / "huge.graph.json"
         path.write_text(json.dumps(
             {"format_version": "1", "r": 2, "n": 10**9, "edges": [[5, 10**9 - 1]]}
         ))
         assert main(["run", "--in", str(path)]) == 3
         assert "distinct m-tuples" in capsys.readouterr().err
-
-    def test_env_var_cap(self, base_cert_file, monkeypatch):
-        monkeypatch.setenv("BOOTPERC_MAX_TUPLES", "2")
-        assert main(["run", "--in", str(base_cert_file)]) == 3
-
-    def test_env_var_ignored_when_invalid(self, base_cert_file, monkeypatch, capsys):
-        monkeypatch.setenv("BOOTPERC_MAX_TUPLES", "lots")
-        assert main(["run", "--in", str(base_cert_file)]) == 0
-        assert "ignoring" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -162,7 +152,7 @@ class TestVerify:
     def test_padded_vertex_set_needs_no_sweep(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "padded.cert.json"
         path.write_text(emit_certificate(CertificateDocument.from_certificate(padded_base(800))))
-        monkeypatch.setattr(verify, "step", refuse_sweep)
+        refuse_sweep(monkeypatch, 20 * 797)  # the headless recount's tuples, not C(800, 4)
         assert main(["verify", "--in", str(path)]) == 0
         assert "measured_T_forward=12 measured_T_reverse=12" in capsys.readouterr().out
 
@@ -300,6 +290,13 @@ class TestCheckBase:
     def test_larger_k(self, capsys):
         assert main(["check-base", "--k", "5"]) == 0
         assert "density_max=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k, t", [(2, 12), (3, 40), (4, 84), (5, 144)])
+    def test_golden_line(self, k, t, capsys):
+        assert main(["check-base", "--k", str(k)]) == 0
+        assert capsys.readouterr().out == (
+            f"density_max=2 predicted_T={t} measured_T={t} replay=ok\n"
+        )
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         true_edge = constructions.predicted_base_edge

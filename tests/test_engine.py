@@ -280,7 +280,7 @@ class TestRecountAgainstPerTupleLoop:
     @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
     def test_dense_graphs_from_all_of_g0(self, r, m, monkeypatch):
         counts = count_supersets(monkeypatch)
-        took_uninfected = []
+        took_uninfected, took_sweep = [], []
 
         @settings(derandomize=True, max_examples=40, deadline=None)
         @given(g=dense_graphs(r, m, 9))
@@ -288,18 +288,25 @@ class TestRecountAgainstPerTupleLoop:
             counts["calls"] = 0
             got = list(_naive_generations(g.n, r, m, set(g.edges), g.edges))
             assert got == iterate_step(g, m)
-            # each generation recounts through the smaller of its frontier and the uninfected edges
+            # each generation sweeps all C(n, m) tuples when they are no more than the tuples
+            # through the smaller of its frontier and the uninfected edges, else recounts that side
             calls, infected, frontier = 0, len(g), len(g)
             for new in [*map(len, got), 0]:
                 if not frontier:
                     break
-                calls += min(frontier, comb(g.n, r) - infected)
+                uninfected = comb(g.n, r) - infected
+                side = min(frontier, uninfected)
+                if comb(g.n, m) <= side * comb(g.n - r, m - r):
+                    took_sweep.append(g)
+                else:
+                    calls += side
+                    if uninfected < frontier:
+                        took_uninfected.append(g)
                 infected, frontier = infected + new, new
             assert counts["calls"] == calls
-            took_uninfected.append(calls < len(g) + sum(map(len, got)))
 
         check()
-        assert any(took_uninfected)
+        assert took_uninfected and took_sweep
 
 
 class TestProcessProperties:

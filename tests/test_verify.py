@@ -182,7 +182,7 @@ class TestSeededReplay:
 
     def test_padded_vertex_set_needs_no_sweep(self, monkeypatch):
         # C(800, 4) = 1.7e10 tuples; the naive recount visits 20 * 797 instead
-        monkeypatch.setattr(verify, "step", refuse_sweep)
+        refuse_sweep(monkeypatch, 20 * 797)
         report = verify_sequential(padded_base(800))
         assert report.all_passed
         assert report.measured_t_forward == report.measured_t_reverse == 12
