@@ -30,21 +30,13 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-class UsageError(ValueError):
-    """Invalid parameter combination caught after argument parsing."""
-
-
 def _labels_for(n: int, k: int):
     return tuple(id_to_label(i, k) for i in range(n))
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.k < 2:
-        raise UsageError(f"k must be >= 2, got {args.k}")
-    if args.r < 3:
-        raise UsageError(f"r must be >= 3, got {args.r}")
     if args.stage in ("base", "glued") and args.r != 3:
-        raise UsageError(f"stage {args.stage!r} requires r = 3, got r = {args.r}")
+        raise ValueError(f"stage {args.stage!r} requires r = 3, got r = {args.r}")
     if args.stage == "base":
         cert = constructions.build_base(args.k)
     elif args.stage == "glued":
@@ -54,14 +46,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     g = cert.graph
     print(f"vertices={g.n} edges={len(g)} predicted_T={cert.predicted_t}")
     if args.out is not None:
-        doc = io.CertificateDocument.from_certificate(
-            cert, labels=_labels_for(g.n, cert.k)
-        )
+        doc = io.CertificateDocument(cert, labels=_labels_for(g.n, cert.k))
         Path(args.out).write_text(io.emit_certificate(doc), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.engine == "naive" and args.max_tuples is not None:
+        raise ValueError("--max-tuples applies to the fast engine only")
     g = io.read_document(Path(args.infile).read_text(encoding="utf-8")).to_hypergraph()
     if args.engine == "naive":
         result = run_naive(g, m=args.m)
@@ -96,14 +88,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.r < 3:
-        raise UsageError(f"r must be >= 3, got {args.r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             b = constructions.theorem_bounds(args.r, args.n)
         except OverflowError as exc:
-            raise UsageError(f"bounds for r = {args.r} overflow a float: {exc}") from exc
+            raise ValueError(f"bounds for r = {args.r} overflow a float: {exc}") from exc
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     print(f"lower = {b.lower} = {float(b.lower)}")
@@ -121,11 +111,9 @@ def cmd_brute(args: argparse.Namespace) -> int:
 
 
 def cmd_check_base(args: argparse.Namespace) -> int:
-    if args.k < 2:
-        raise UsageError(f"k must be >= 2, got {args.k}")
     cert = constructions.build_base(args.k)
     density, _ = verify.check_density(cert.graph.without(cert.ignition))
-    report = verify.verify_sequential(cert, max_tuples=args.max_tuples)
+    report = verify.verify_sequential(cert)
     replay = "ok" if report.property_i else f"mismatch at step {report.first_divergence[0]}"
     print(
         f"density_max={density} predicted_T={cert.predicted_t} "
@@ -179,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-base", help="density and closed-form replay check of the seed")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-tuples", type=int)
     p.set_defaults(func=cmd_check_base)
 
     return parser
@@ -196,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TupleBudgetExceeded, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (io.DocumentError, UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # io.DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # EngineDisagreement, or a fault no documented class covers

@@ -340,8 +340,6 @@ def build_full(r: int, k: int) -> SequentialCertificate:
     """
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     cert = build_base(k)
     for rho in range(3, r + 1):
         cert = glue(cert, k)

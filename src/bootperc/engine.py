@@ -22,8 +22,10 @@ Two engines produce identical per-step traces:
   level gathers the vertices it fires per (r-1)-set and lists each
   set's bits once, and its edges enter the next level as masks.
 
-``verify`` recounts with ``_naive_generations`` and replays several
-starts from one seeded ``_LinkState`` (``add``, ``fire``, ``copy``).
+``verify`` recounts and cross-checks with ``_naive_generations`` and
+replays several starts from one seeded ``_LinkState`` (``add``, ``fire``,
+``copy``).  ``_budget`` refuses, for both engines, a graph one of whose
+edges alone meets more m-tuples than the cap.
 
 The two share no update code: :func:`run_naive` recounts, :func:`run_fast`
 reads link masks.  :func:`step` is the definitional single-generation
@@ -150,7 +152,9 @@ def _naive_generations(
     """Yield each generation's new edges, added to ``infected``, recounting the
     side with the fewest tuples: the m-tuples through the previous generation's
     edges (first ``frontier``), those through the uninfected edges (a set built
-    the first time it is used), or all C(n, m) tuples."""
+    the first time it is used), or all C(n, m) tuples.  A first ``frontier``
+    smaller than ``infected`` is exact when every m-tuple that fires first
+    contains one of its edges."""
     total, sweep, per_edge = comb(n, r), comb(n, m), comb(n - r, m - r)
     uninfected: set[Edge] | None = None
     while frontier:
@@ -174,21 +178,19 @@ def _naive_generations(
         frontier = new
 
 
-def run_naive(
-    g0: Hypergraph, m: int | None = None, *, frontier: Iterable[Edge] | None = None
-) -> RunResult:
+def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     """Iterate synchronous generations until stationary.
 
     Each generation recounts against the current edge set whichever has
     the fewest tuples: the m-tuples through the previous generation's
-    newly infected edges (through ``frontier``, default all of g0, for
-    the first), those through the uninfected edges, or all C(n, m)
-    tuples.  A smaller ``frontier`` is exact when every m-tuple that
-    fires contains a frontier edge.
+    newly infected edges (all of g0 for the first), those through the
+    uninfected edges, or all C(n, m) tuples.  A graph is refused as
+    :func:`run_fast` refuses it under the default cap: when one edge alone
+    meets more than DEFAULT_MAX_TUPLES m-tuples.
     """
     m = _check_m(g0, m)
-    start = g0.edges if frontier is None else frozenset(frontier)
-    return _result(g0, list(_naive_generations(g0.n, g0.r, m, set(g0.edges), start)))
+    _budget(g0, m, None, fix="use the fast engine with a larger --max-tuples")
+    return _result(g0, list(_naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges)))
 
 
 def _bits(x: int) -> list[int]:
@@ -214,16 +216,20 @@ def _mask(e: Edge) -> int:
     return f
 
 
-def _over_budget(budget: int) -> TupleBudgetExceeded:
+def _over_budget(budget: int, fix: str = "raise --max-tuples") -> TupleBudgetExceeded:
     return TupleBudgetExceeded(
-        f"more than {budget} distinct m-tuples meet the infected graph; raise --max-tuples"
+        f"more than {budget} distinct m-tuples meet the infected graph; {fix}"
     )
 
 
-def _budget(max_tuples: int | None) -> int:
+def _budget(g: Hypergraph, m: int, max_tuples: int | None, fix: str = "raise --max-tuples") -> int:
+    """The tuple cap, DEFAULT_MAX_TUPLES unless given, checked against ``g`` up front."""
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
     if budget < 0:
         raise ValueError(f"max_tuples must be >= 0, got {budget}")
+    if g.edges and comb(g.n - g.r, m - g.r) > budget:
+        # any one edge meets that many tuples; nothing of size n is built
+        raise _over_budget(budget, fix)
     return budget
 
 
@@ -242,9 +248,6 @@ class _LinkState:
     """
 
     def __init__(self, n: int, r: int, m: int, budget: int) -> None:
-        if comb(n - r, m - r) > budget:
-            # any one edge meets that many tuples; no n-bit mask is built
-            raise _over_budget(budget)
         self.r, self.m, self.budget = r, m, budget
         self.full = (1 << n) - 1
         self.link: dict[int, int] = {}
@@ -372,7 +375,7 @@ def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None
     a negative cap raises ValueError.
     """
     m = _check_m(g0, m)
-    budget = _budget(max_tuples)
+    budget = _budget(g0, m, max_tuples)
     if not g0.edges:
         return _result(g0, [])
     state = _LinkState(g0.n, g0.r, m, budget)

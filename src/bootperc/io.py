@@ -6,23 +6,27 @@ across platforms and re-emitting a parsed canonical document
 reproduces it exactly.  Traces are line-delimited JSON records, one
 infected edge per line after a header carrying r, n, and T.
 
+A :class:`GraphDocument` holds a :class:`Hypergraph`, with the optional
+construction parameter k and vertex labels; a :class:`CertificateDocument`
+holds a :class:`SequentialCertificate` and optional labels.  Those objects
+check their own invariants and the document constructors check k and the
+labels, so a document whose numbers are all ints emits text the parser
+accepts.
+
 Parsing is strict: any document violating a graph or certificate
 invariant is rejected with a specific error code (``syntax``,
 ``schema``, ``version``, ``arity``, ``duplicate-vertex``,
 ``duplicate-edge``, ``id-range``, ``not-canonical``, ``certificate``).
 :func:`read_document` reads either kind of document, telling a
-certificate by its ``ignition`` key.
-
-The parser checks every edge it reads, and a parsed document's graph
-takes them unchecked; a hand-built document's graph checks its edges in
-:meth:`Hypergraph.from_edges`, and :class:`SequentialCertificate` its sequence.
+certificate by its ``ignition`` key.  The parser checks every edge it
+reads and builds the graph from them unchecked; the certificate it
+builds checks its sequence edges again, as it does for any caller.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, TextIO
 
 from .constructions import CertificateError, SequentialCertificate
@@ -44,6 +48,8 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
+Labels = tuple[VertexLabel, ...]
+
 
 class DocumentError(ValueError):
     """A malformed or non-canonical document.
@@ -59,94 +65,54 @@ class DocumentError(ValueError):
         super().__init__(f"{code}: {message}{where}")
 
 
-class _DocumentGraph:
-    """A document's graph, built on first use unless the parser has set it."""
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_extras(n: int, k: Any, labels: Labels | None, optional_k: bool = False) -> None:
+    """Refuse a k that is not an int of at least 1 (None where optional), or labels
+    other than one positive (layer, index) per vertex."""
+    if not ((k is None and optional_k) or (_is_int(k) and k >= 1)):
+        raise ValueError(f"invalid k={k!r}")
+    if labels is None:
+        return
+    if len(labels) != n:
+        raise ValueError(f"labels list must have one entry per vertex ({n})")
+    for lab in labels:
+        if not (_is_int(lab.layer) and _is_int(lab.index) and lab.layer >= 1 and lab.index >= 1):
+            raise ValueError(f"label {lab!r} must be {{layer, index}} positive ints")
+
+
+@dataclass(frozen=True)
+class GraphDocument:
+    """Serializable form of a hypergraph, optionally with construction k and labels."""
+
+    graph: Hypergraph
+    k: int | None = None
+    labels: Labels | None = None
+
+    def __post_init__(self) -> None:
+        _check_extras(self.graph.n, self.k, self.labels, optional_k=True)
 
     def to_hypergraph(self) -> Hypergraph:
-        return self._graph
-
-    @cached_property
-    def _graph(self) -> Hypergraph:
-        return Hypergraph.from_edges(self.n, self.r, self.edges)
+        return self.graph
 
 
 @dataclass(frozen=True)
-class GraphDocument(_DocumentGraph):
-    """Serializable form of a hypergraph, optionally with construction labels."""
+class CertificateDocument:
+    """Serializable form of a sequential certificate, optionally with labels."""
 
-    format_version: str
-    r: int
-    n: int
-    k: int | None
-    labels: tuple[VertexLabel, ...] | None
-    edges: tuple[Edge, ...]
+    certificate: SequentialCertificate
+    labels: Labels | None = None
 
-    @classmethod
-    def from_hypergraph(
-        cls,
-        g: Hypergraph,
-        k: int | None = None,
-        labels: tuple[VertexLabel, ...] | None = None,
-    ) -> GraphDocument:
-        return cls(
-            format_version=FORMAT_VERSION,
-            r=g.r,
-            n=g.n,
-            k=k,
-            labels=labels,
-            edges=g.sorted_edges,
-        )
+    def __post_init__(self) -> None:
+        _check_extras(self.certificate.graph.n, self.certificate.k, self.labels)
 
-
-@dataclass(frozen=True)
-class CertificateDocument(_DocumentGraph):
-    """Serializable form of a sequential certificate."""
-
-    format_version: str
-    r: int
-    n: int
-    k: int
-    labels: tuple[VertexLabel, ...] | None
-    edges: tuple[Edge, ...]
-    ignition: Edge
-    sequence: tuple[Edge, ...]
-    predicted_t: int
-    apex: int | None
-
-    @classmethod
-    def from_certificate(
-        cls,
-        cert: SequentialCertificate,
-        labels: tuple[VertexLabel, ...] | None = None,
-    ) -> CertificateDocument:
-        return cls(
-            format_version=FORMAT_VERSION,
-            r=cert.r,
-            n=cert.graph.n,
-            k=cert.k,
-            labels=labels,
-            edges=cert.graph.sorted_edges,
-            ignition=cert.ignition,
-            sequence=cert.sequence,
-            predicted_t=cert.predicted_t,
-            apex=cert.apex,
-        )
+    def to_hypergraph(self) -> Hypergraph:
+        return self.certificate.graph
 
     def to_certificate(self) -> SequentialCertificate:
-        """The document's certificate, built on the first call and shared after."""
-        return self._built_certificate
-
-    @cached_property
-    def _built_certificate(self) -> SequentialCertificate:
-        return SequentialCertificate(
-            graph=self._graph,
-            ignition=self.ignition,
-            sequence=self.sequence,
-            r=self.r,
-            k=self.k,
-            predicted_t=self.predicted_t,
-            apex=self.apex,
-        )
+        return self.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -175,40 +141,41 @@ def _emit_document(bodies: dict[str, list[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _graph_bodies(doc: GraphDocument | CertificateDocument) -> dict[str, list[str]]:
+def _graph_bodies(graph: Hypergraph, k: int | None, labels: Labels | None) -> dict[str, list[str]]:
     """The keys a graph and a certificate document share, ``format_version`` to ``edges``."""
     bodies = {
-        "format_version": [json.dumps(doc.format_version)],
-        "r": [json.dumps(doc.r)],
-        "n": [json.dumps(doc.n)],
+        "format_version": [json.dumps(FORMAT_VERSION)],
+        "r": [json.dumps(graph.r)],
+        "n": [json.dumps(graph.n)],
     }
-    if doc.k is not None:
-        bodies["k"] = [json.dumps(doc.k)]
-    if doc.labels is not None:
+    if k is not None:
+        bodies["k"] = [json.dumps(k)]
+    if labels is not None:
         bodies["labels"] = _render_list(
-            [f'{{"layer": {lab.layer}, "index": {lab.index}}}' for lab in doc.labels]
+            [f'{{"layer": {lab.layer}, "index": {lab.index}}}' for lab in labels]
         )
-    bodies["edges"] = _render_edges(doc.edges)
+    bodies["edges"] = _render_edges(graph.sorted_edges)
     return bodies
 
 
 def emit_graph(doc: GraphDocument | Hypergraph) -> str:
     """Canonical text for a graph document (byte-deterministic)."""
     if isinstance(doc, Hypergraph):
-        doc = GraphDocument.from_hypergraph(doc)
-    return _emit_document(_graph_bodies(doc))
+        doc = GraphDocument(doc)
+    return _emit_document(_graph_bodies(doc.graph, doc.k, doc.labels))
 
 
 def emit_certificate(doc: CertificateDocument | SequentialCertificate) -> str:
     """Canonical text for a certificate document (byte-deterministic)."""
     if isinstance(doc, SequentialCertificate):
-        doc = CertificateDocument.from_certificate(doc)
-    bodies = _graph_bodies(doc)
-    bodies["ignition"] = [json.dumps(list(doc.ignition))]
-    bodies["sequence"] = _render_edges(doc.sequence)
-    bodies["predicted_t"] = [json.dumps(doc.predicted_t)]
-    if doc.apex is not None:
-        bodies["apex"] = [json.dumps(doc.apex)]
+        doc = CertificateDocument(doc)
+    cert = doc.certificate
+    bodies = _graph_bodies(cert.graph, cert.k, doc.labels)
+    bodies["ignition"] = [json.dumps(list(cert.ignition))]
+    bodies["sequence"] = _render_edges(cert.sequence)
+    bodies["predicted_t"] = [json.dumps(cert.predicted_t)]
+    if cert.apex is not None:
+        bodies["apex"] = [json.dumps(cert.apex)]
     return _emit_document(bodies)
 
 
@@ -243,7 +210,7 @@ def _load_object(text: str) -> dict[str, Any]:
 
 def _require_int(data: dict[str, Any], key: str) -> int:
     value = data.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise DocumentError("schema", f"field {key!r} must be an integer")
     return value
 
@@ -259,9 +226,7 @@ def _check_keys(data: dict[str, Any], required: set[str], optional: set[str]) ->
 
 
 def _parse_edge(raw: Any, r: int, n: int) -> Edge:
-    if not isinstance(raw, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in raw
-    ):
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise DocumentError("schema", f"edge {raw!r} must be a list of integers")
     if len(raw) != r:
         raise DocumentError("arity", f"edge {raw} has {len(raw)} vertices, expected {r}")
@@ -286,23 +251,13 @@ def _parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def _parse_labels(raw: Any, n: int) -> tuple[VertexLabel, ...]:
-    if not isinstance(raw, list):
-        raise DocumentError("schema", "field 'labels' must be a list")
-    if len(raw) != n:
-        raise DocumentError("schema", f"labels list must have one entry per vertex ({n})")
-    labels: list[VertexLabel] = []
-    for item in raw:
-        if (
-            not isinstance(item, dict)
-            or set(item) != {"layer", "index"}
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item.values())
-            or item["layer"] < 1
-            or item["index"] < 1
-        ):
-            raise DocumentError("schema", f"label {item!r} must be {{layer, index}} positive ints")
-        labels.append(VertexLabel(layer=item["layer"], index=item["index"]))
-    return tuple(labels)
+def _parse_labels(raw: Any) -> Labels:
+    """The labels as given; the document checks their count and values."""
+    if not isinstance(raw, list) or not all(
+        isinstance(item, dict) and set(item) == {"layer", "index"} for item in raw
+    ):
+        raise DocumentError("schema", "field 'labels' must be a list of {layer, index} objects")
+    return tuple(VertexLabel(layer=item["layer"], index=item["index"]) for item in raw)
 
 
 def parse_graph(text: str) -> GraphDocument:
@@ -313,13 +268,17 @@ def parse_graph(text: str) -> GraphDocument:
 def _graph_document(data: dict[str, Any]) -> GraphDocument:
     """Validate an already decoded graph document."""
     _check_keys(data, required={"format_version", "r", "n", "edges"}, optional={"k", "labels"})
-    return _graph_fields(data)
+    graph, k, labels = _graph_fields(data)
+    try:
+        return GraphDocument(graph, k, labels)
+    except ValueError as exc:
+        raise DocumentError("schema", str(exc)) from exc
 
 
-def _graph_fields(data: dict[str, Any]) -> GraphDocument:
-    """Validate the fields every document has, ``format_version`` to ``edges``.
+def _graph_fields(data: dict[str, Any]) -> tuple[Hypergraph, int | None, Labels | None]:
+    """The graph, k and labels every document has, ``format_version`` to ``edges``.
 
-    Every edge is checked here, so the document's graph takes them unchecked.
+    Every edge is checked here, so the graph takes them unchecked.
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -328,16 +287,10 @@ def _graph_fields(data: dict[str, Any]) -> GraphDocument:
     n = _require_int(data, "n")
     if r < 1 or n < 0:
         raise DocumentError("schema", f"invalid r={r} or n={n}")
-    k: int | None = None
-    if "k" in data:
-        k = _require_int(data, "k")
-        if k < 1:
-            raise DocumentError("schema", f"invalid k={k}")
-    labels = _parse_labels(data["labels"], n) if "labels" in data else None
+    k = _require_int(data, "k") if "k" in data else None
+    labels = _parse_labels(data["labels"]) if "labels" in data else None
     edges = _parse_edge_list(data["edges"], r, n)
-    doc = GraphDocument(format_version=version, r=r, n=n, k=k, labels=labels, edges=edges)
-    object.__setattr__(doc, "_graph", Hypergraph._trusted(n, r, frozenset(edges)))
-    return doc
+    return Hypergraph._trusted(n, r, frozenset(edges)), k, labels
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -352,19 +305,14 @@ def read_document(text: str) -> GraphDocument | CertificateDocument:
 
 
 def _certificate(data: dict[str, Any]) -> CertificateDocument:
-    """Validate an already decoded certificate document.
-
-    Its certificate is built here to check the certificate invariants,
-    and :meth:`CertificateDocument.to_certificate` hands out that one.
-    """
+    """Validate an already decoded certificate document, building its certificate once."""
     _check_keys(
         data,
         required={"format_version", "r", "n", "k", "edges", "ignition", "sequence", "predicted_t"},
         optional={"labels", "apex"},
     )
-    graph = _graph_fields(data)
+    graph, k, labels = _graph_fields(data)
     r, n = graph.r, graph.n
-    assert graph.k is not None
     ignition = _parse_edge(data["ignition"], r, n)
     raw_seq = data["sequence"]
     if not isinstance(raw_seq, list):
@@ -372,21 +320,12 @@ def _certificate(data: dict[str, Any]) -> CertificateDocument:
     sequence = tuple(_parse_edge(item, r, n) for item in raw_seq)
     predicted_t = _require_int(data, "predicted_t")
     apex = _require_int(data, "apex") if "apex" in data else None
-    doc = CertificateDocument(
-        format_version=graph.format_version,
-        r=r,
-        n=n,
-        k=graph.k,
-        labels=graph.labels,
-        edges=graph.edges,
-        ignition=ignition,
-        sequence=sequence,
-        predicted_t=predicted_t,
-        apex=apex,
-    )
-    object.__setattr__(doc, "_graph", graph._graph)
     try:
-        doc.to_certificate()
-    except CertificateError as exc:
-        raise DocumentError("certificate", str(exc)) from exc
-    return doc
+        cert = SequentialCertificate(
+            graph=graph, ignition=ignition, sequence=sequence, r=r, k=k,
+            predicted_t=predicted_t, apex=apex,
+        )
+        return CertificateDocument(cert, labels)
+    except ValueError as exc:
+        code = "certificate" if isinstance(exc, CertificateError) else "schema"
+        raise DocumentError(code, str(exc)) from exc

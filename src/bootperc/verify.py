@@ -27,7 +27,7 @@ from math import comb
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph, supersets
-from .engine import _budget, _LinkState, _mask, _naive_generations, run_naive
+from .engine import _budget, _LinkState, _mask, _naive_generations
 
 __all__ = [
     "VerificationReport",
@@ -111,7 +111,7 @@ def verify_sequential(
     g = cert.graph
     n, r = g.n, g.r
     h = g.without(cert.ignition)
-    seed = _LinkState(n, r, r + 1, _budget(max_tuples))
+    seed = _LinkState(n, r, r + 1, _budget(g, r + 1, max_tuples))
     h_level = seed.add(map(_mask, h.edges))
     fired = seed.fire(h_level)
     recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
@@ -122,8 +122,8 @@ def verify_sequential(
     forward_state = seed.copy()
     forward = forward_state.run(first + forward_state.add([_mask(cert.ignition)]))
     if comb(n, r + 1) <= NAIVE_CROSS_CHECK_LIMIT:
-        naive = run_naive(g, frontier=None if fired else [cert.ignition])
-        if naive.trace.steps != tuple(forward):
+        start = g.edges if fired else [cert.ignition]
+        if list(_naive_generations(n, r, r + 1, set(g.edges), start)) != forward:
             raise EngineDisagreement("fast and naive engines diverge on the forward replay")
     divergence = _compare_to_sequence(forward, cert.sequence[1:])
 

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -52,7 +54,7 @@ class TestBuild:
         labels = tuple(id_to_label(i, 2) for i in range(cert.graph.n))
         from bootperc.io import CertificateDocument
 
-        expected = emit_certificate(CertificateDocument.from_certificate(cert, labels=labels))
+        expected = emit_certificate(CertificateDocument(cert, labels=labels))
         assert base_cert_file.read_text() == expected
 
 
@@ -120,13 +122,27 @@ class TestRun:
         assert main([command, "--in", str(base_cert_file), "--max-tuples", "0"]) == 3
 
     def test_huge_vertex_count_hits_the_default_cap(self, tmp_path, monkeypatch, capsys):
-        # one edge on 10^9 vertices meets 10^9 - 2 triangles, past the 10^8 default
+        # one edge on 10^9 vertices meets 10^9 - 2 triangles, past the 10^8 default;
+        # both engines refuse it before building anything of size n
         path = tmp_path / "huge.graph.json"
         path.write_text(json.dumps(
             {"format_version": "1", "r": 2, "n": 10**9, "edges": [[5, 10**9 - 1]]}
         ))
-        assert main(["run", "--in", str(path)]) == 3
-        assert "distinct m-tuples" in capsys.readouterr().err
+        for engine in ("fast", "naive"):
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                assert main(["run", "--in", str(path), "--engine", engine]) == 3
+                assert time.perf_counter() - start < 1
+                assert tracemalloc.get_traced_memory()[1] < 2**20
+            finally:
+                tracemalloc.stop()
+            assert "distinct m-tuples" in capsys.readouterr().err
+
+    def test_max_tuples_is_refused_with_the_naive_engine(self, base_cert_file, capsys):
+        argv = ["run", "--in", str(base_cert_file), "--engine", "naive", "--max-tuples", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --max-tuples applies to the fast engine only\n")
 
 
 class TestVerify:
@@ -151,7 +167,7 @@ class TestVerify:
 
     def test_padded_vertex_set_needs_no_sweep(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "padded.cert.json"
-        path.write_text(emit_certificate(CertificateDocument.from_certificate(padded_base(800))))
+        path.write_text(emit_certificate(CertificateDocument(padded_base(800))))
         refuse_sweep(monkeypatch, 20 * 797)  # the headless recount's tuples, not C(800, 4)
         assert main(["verify", "--in", str(path)]) == 0
         assert "measured_T_forward=12 measured_T_reverse=12" in capsys.readouterr().out
@@ -246,18 +262,23 @@ class TestInternalInconsistency:
         assert "Traceback" not in captured.err
 
     def test_verify_engines_disagree(self, base_cert_file, capsys, monkeypatch):
-        true_naive = verify.run_naive
+        true_generations = verify._naive_generations
+        calls = []
 
-        def faulty(g, *args, **kwargs):
-            return true_naive(g.without(g.sorted_edges[0]), *args, **kwargs)
+        def faulty(n, r, m, infected, frontier):
+            calls.append(None)
+            if len(calls) == 2:  # the forward cross-check; the first call recounts H
+                infected = infected - {min(infected)}
+            return true_generations(n, r, m, infected, frontier)
 
-        monkeypatch.setattr(verify, "run_naive", faulty)
+        monkeypatch.setattr(verify, "_naive_generations", faulty)
         assert main(["verify", "--in", str(base_cert_file)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal inconsistency" in captured.err
         assert "engines diverge" in captured.err
         assert "Traceback" not in captured.err
+        assert len(calls) == 2
 
     def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
         def broken(args):
@@ -309,6 +330,30 @@ class TestCheckBase:
         monkeypatch.setattr(constructions, "predicted_base_edge", faulty)
         assert main(["check-base", "--k", "2"]) == 1
         assert "mismatch at step 5" in capsys.readouterr().out
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "--r", "3", "--k", "1"], "k must be >= 2, got 1"),
+            (["build", "--r", "3", "--k", "1", "--stage", "base"], "k must be >= 2, got 1"),
+            (["build", "--r", "3", "--k", "0", "--stage", "glued"], "k must be >= 2, got 0"),
+            (["build", "--r", "2", "--k", "2"], "r must be >= 3, got 2"),
+            (["build", "--r", "4", "--k", "2", "--stage", "base"],
+             "stage 'base' requires r = 3, got r = 4"),
+            (["check-base", "--k", "1"], "k must be >= 2, got 1"),
+            (["check-base", "--k", "-5"], "k must be >= 2, got -5"),
+            (["bounds", "--r", "2", "--n", "10"], "r must be >= 3, got 2"),
+        ],
+    )
+    def test_each_bad_argument_is_one_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_check_base_takes_no_tuple_cap(self, capsys):
+        assert main(["check-base", "--k", "2", "--max-tuples", "5"]) == 2
+        assert "unrecognized arguments: --max-tuples" in capsys.readouterr().err
 
 
 class TestPlumbing:

@@ -97,7 +97,9 @@ class TestRunNaive:
     @pytest.mark.parametrize("k", [2, 3])
     def test_frontier_of_the_ignition_is_exact(self, k):
         cert = build_base(k)
-        assert run_naive(cert.graph, frontier=[cert.ignition]) == run_naive(cert.graph)
+        g = cert.graph
+        got = list(_naive_generations(g.n, g.r, g.r + 1, set(g.edges), [cert.ignition]))
+        assert got == list(run_naive(g).trace.steps)
 
     def test_base_one_edge_per_step(self):
         cert = build_base(2)

@@ -1,4 +1,6 @@
+import dataclasses
 import io as stdio
+import itertools
 import json
 from functools import cache
 
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootperc.core as core
-from bootperc import Hypergraph, build_base, build_full, run_fast, run_naive
-from bootperc.core import VertexLabel, VertexRangeError, id_to_label
+from bootperc import Hypergraph, build_base, build_full, glue, lift, run_fast, run_naive
+from bootperc.core import VertexLabel, id_to_label
 from bootperc.io import (
     CertificateDocument,
     DocumentError,
@@ -32,8 +34,8 @@ class TestGraphRoundTrip:
     def test_complete_graph_document(self):
         text = k34_doc()
         doc = parse_graph(text)
-        assert doc.r == 3 and doc.n == 4
-        assert doc.edges == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        assert doc.graph.r == 3 and doc.graph.n == 4
+        assert doc.graph.sorted_edges == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
         assert emit_graph(doc) == text
 
     def test_emit_is_deterministic(self):
@@ -43,7 +45,7 @@ class TestGraphRoundTrip:
     def test_round_trip_with_optional_fields(self):
         g = build_base(2).graph
         labels = tuple(id_to_label(i, 2) for i in range(g.n))
-        doc = GraphDocument.from_hypergraph(g, k=2, labels=labels)
+        doc = GraphDocument(g, k=2, labels=labels)
         text = emit_graph(doc)
         again = parse_graph(text)
         assert again == doc
@@ -65,7 +67,7 @@ class TestCertificateRoundTrip:
     def test_base_certificate(self, k):
         cert = build_base(k)
         labels = tuple(id_to_label(i, k) for i in range(cert.graph.n))
-        doc = CertificateDocument.from_certificate(cert, labels=labels)
+        doc = CertificateDocument(cert, labels=labels)
         text = emit_certificate(doc)
         again = parse_certificate(text)
         assert again == doc
@@ -86,14 +88,87 @@ class TestCertificateRoundTrip:
         assert doc.to_certificate() is doc.to_certificate()
         assert doc.to_certificate() == cert
         assert doc.to_hypergraph() is doc.to_certificate().graph
-        built = CertificateDocument.from_certificate(cert)
+        built = CertificateDocument(cert)
         assert built.to_certificate() is built.to_certificate()
 
     def test_accepts_certificate_directly(self):
         cert = build_base(2)
-        assert emit_certificate(cert) == emit_certificate(
-            CertificateDocument.from_certificate(cert)
-        )
+        assert emit_certificate(cert) == emit_certificate(CertificateDocument(cert))
+
+
+@cache
+def full_4_2_stages():
+    """Every certificate ``build_full(4, 2)`` passes through: base, glue, lift, glue."""
+    base = build_base(2)
+    glued = glue(base, 2)
+    lifted = lift(glued)
+    return base, glued, lifted, glue(lifted, 2)
+
+
+def drawn_labels(n: int):
+    construction = tuple(id_to_label(i, 2) for i in range(n))
+    drawn = st.lists(
+        st.builds(VertexLabel, st.integers(1, 9), st.integers(1, 9)), min_size=n, max_size=n
+    )
+    return st.sampled_from([None, construction]) | drawn.map(tuple)
+
+
+@st.composite
+def graph_documents(draw):
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 7))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), r))), unique=True))
+    k = draw(st.none() | st.integers(1, 9))
+    return GraphDocument(Hypergraph.from_edges(n, r, edges), k=k, labels=draw(drawn_labels(n)))
+
+
+@st.composite
+def certificate_documents(draw):
+    cert = draw(st.sampled_from(full_4_2_stages()))
+    return CertificateDocument(cert, labels=draw(drawn_labels(cert.graph.n)))
+
+
+class TestEveryDocumentRoundTrips:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(doc=graph_documents())
+    def test_graph_documents(self, doc):
+        text = emit_graph(doc)
+        assert parse_graph(text) == doc and read_document(text) == doc
+        assert emit_graph(parse_graph(text)) == text
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(doc=certificate_documents())
+    def test_certificate_documents(self, doc):
+        text = emit_certificate(doc)
+        assert parse_certificate(text) == doc and read_document(text) == doc
+        assert emit_certificate(parse_certificate(text)) == text
+
+    @pytest.mark.parametrize("k", [0, -1, True, 1.0, "2"])
+    def test_bad_k_is_refused(self, k):
+        with pytest.raises(ValueError, match="invalid k"):
+            GraphDocument(Hypergraph.complete(4, 3), k=k)
+        cert = dataclasses.replace(build_base(2), k=k)
+        for make in (CertificateDocument, emit_certificate):
+            with pytest.raises(ValueError, match="invalid k"):
+                make(cert)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda labels: labels[:-1],
+            lambda labels: labels + labels[:1],
+            *(
+                lambda labels, last=last: labels[:-1] + (VertexLabel(*last),)
+                for last in [(0, 1), (1, -1), (True, 1), (1, 1.0), ("1", 1)]
+            ),
+        ],
+    )
+    def test_bad_labels_are_refused(self, fault):
+        cert = build_base(2)
+        labels = fault(tuple(id_to_label(i, 2) for i in range(cert.graph.n)))
+        for make, held in ((GraphDocument, cert.graph), (CertificateDocument, cert)):
+            with pytest.raises(ValueError, match="label"):
+                make(held, labels=labels)
 
 
 def doc_dict(text: str) -> dict:
@@ -169,7 +244,7 @@ class TestParseErrors:
 
     def test_bad_labels(self):
         base = emit_graph(
-            GraphDocument.from_hypergraph(
+            GraphDocument(
                 Hypergraph.complete(4, 3),
                 k=2,
                 labels=tuple(VertexLabel(1, i + 1) for i in range(4)),
@@ -248,12 +323,12 @@ def fuzz_sources() -> tuple[list[str], list[str]]:
     labels = tuple(id_to_label(i, 2) for i in range(base.graph.n))
     graphs = [
         k34_doc(),
-        emit_graph(GraphDocument.from_hypergraph(base.graph, k=2, labels=labels)),
+        emit_graph(GraphDocument(base.graph, k=2, labels=labels)),
         emit_graph(Hypergraph.from_edges(6, 2, [(0, 1), (1, 2), (2, 5), (3, 4)])),
     ]
     certificates = [
         base2_doc(),
-        emit_certificate(CertificateDocument.from_certificate(base, labels=labels)),
+        emit_certificate(CertificateDocument(base, labels=labels)),
         emit_certificate(build_full(3, 2)),
     ]
     return graphs, certificates
@@ -318,7 +393,7 @@ class TestParseFuzz:
             assert exc_info.value.code == code
 
     def test_parsing_checks_no_edge_twice(self, monkeypatch):
-        graph_text = emit_graph(GraphDocument.from_hypergraph(build_base(3).graph, k=3))
+        graph_text = emit_graph(GraphDocument(build_base(3).graph, k=3))
         cert_text = emit_certificate(build_full(3, 2))
 
         def refuse(*args, **kwargs):
@@ -329,14 +404,9 @@ class TestParseFuzz:
         graphs = [doc.to_hypergraph() for doc in docs]
         cert = docs[-1].to_certificate()
         monkeypatch.undo()
-        for doc, g in zip(docs, graphs):
-            assert g == Hypergraph.from_edges(doc.n, doc.r, doc.edges)
+        for g in graphs:
+            assert g == Hypergraph.from_edges(g.n, g.r, g.edges)
         assert cert.graph is graphs[-1] and cert == build_full(3, 2)
-
-    def test_hand_built_document_checks_its_edges(self):
-        doc = GraphDocument(format_version="1", r=3, n=4, k=None, labels=None, edges=((0, 1, 4),))
-        with pytest.raises(VertexRangeError):
-            doc.to_hypergraph()
 
 
 class TestEmitTrace:
