@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import io as stdio
 import itertools
 import json
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,56 @@ class TestGraphRoundTrip:
 
     def test_ends_with_newline(self):
         assert k34_doc().endswith("}\n")
+
+
+K34_DOCUMENT = """\
+{
+  "format_version": "1",
+  "r": 3,
+  "n": 4,
+  "edges": [
+    [0, 1, 2],
+    [0, 1, 3],
+    [0, 2, 3],
+    [1, 2, 3]
+  ]
+}
+"""
+
+
+def labels_for(n: int, k: int):
+    return tuple(id_to_label(i, k) for i in range(n))
+
+
+def full_4_2_labelled() -> str:
+    cert = build_full(4, 2)
+    return emit_certificate(CertificateDocument(cert, labels=labels_for(cert.graph.n, cert.k)))
+
+
+def base_3_graph_labelled() -> str:
+    g = build_base(3).graph
+    return emit_graph(GraphDocument(g, k=3, labels=labels_for(g.n, 3)))
+
+
+GOLDEN_DIGESTS = [
+    (full_4_2_labelled, "6eeffa7fb031ad6aa1e32b1c7e5046d3240d34ad5202e090afcbdd1f994bde22"),
+    (lambda: emit_certificate(glue(build_base(3), 3)),
+     "187281ff510695a887b0dbbd266a946c344d0ddc3a194a0387fd5a791f0471e8"),
+    (base_3_graph_labelled, "d6f0250d96be4bfb607cd01b9828b99796644dae9cbcdd2c95836cc3148fec5f"),
+]
+
+
+class TestGoldenBytes:
+    """The exact emitted text, so a change of layout cannot pass as a round trip."""
+
+    def test_readme_graph_document(self):
+        assert emit_graph(Hypergraph.complete(4, 3)) == K34_DOCUMENT
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"```json\n{K34_DOCUMENT}```" in readme
+
+    @pytest.mark.parametrize("emit, digest", GOLDEN_DIGESTS)
+    def test_document_digests(self, emit, digest):
+        assert hashlib.sha256(emit().encode("utf-8")).hexdigest() == digest
 
 
 class TestCertificateRoundTrip:
