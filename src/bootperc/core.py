@@ -161,12 +161,8 @@ class Hypergraph:
     def __post_init__(self) -> None:
         self._check_sizes()
         for e in self.edges:
-            if len(e) != self.r:
-                raise ArityError(f"edge {e} has {len(e)} vertices, expected {self.r}")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+            if make_edge(e, r=self.r, n=self.n) != e:
                 raise DuplicateVertexError(f"edge {e} is not strictly increasing")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise VertexRangeError(f"edge {e} out of range for n={self.n}")
 
     def _check_sizes(self) -> None:
         if self.n < 0:

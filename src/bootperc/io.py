@@ -1,9 +1,12 @@
 """Deterministic text serialization for graphs, certificates, and traces.
 
-Documents are JSON with a fixed key order, two-space indentation, one
-edge per line, and a terminating newline; emitting is byte-identical
-across platforms and re-emitting a parsed canonical document
-reproduces it exactly.  Traces are line-delimited JSON records, one
+Each document is built as a dict of JSON values in a fixed key order
+and rendered by one function: two-space indentation, a non-empty
+top-level list (edges, labels, sequence) with one compact item per
+line, every other value (the ignition tuple included) on its key's
+line, and a terminating newline.  Emitting is byte-identical across
+platforms and re-emitting a parsed canonical document reproduces it
+exactly.  Traces are line-delimited JSON records, one
 infected edge per line after a header carrying r, n, and T.
 
 A :class:`GraphDocument` holds a :class:`Hypergraph`, with the optional
@@ -119,50 +122,35 @@ class CertificateDocument:
 # emission
 
 
-def _render_list(items: list[str]) -> list[str]:
-    """Lines of a top-level list value: one rendered item per line."""
-    if not items:
-        return ["[]"]
-    return ["[", *(f"    {item}," for item in items[:-1]), f"    {items[-1]}", "  ]"]
+def _emit_document(doc: dict[str, Any]) -> str:
+    """Render ``doc`` in key order: a non-empty list one compact item per line, any
+    other value (a tuple such as the ignition included) on its key's line."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(item)}" for item in value) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        lines.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _render_edges(edges: tuple[Edge, ...]) -> list[str]:
-    return _render_list([json.dumps(list(e)) for e in edges])
-
-
-def _emit_document(bodies: dict[str, list[str]]) -> str:
-    """Render each key with its already rendered value lines, in order."""
-    out = ["{"]
-    for i, (key, body) in enumerate(bodies.items()):
-        out += [f'  "{key}": {body[0]}', *body[1:]]
-        if i + 1 < len(bodies):
-            out[-1] += ","
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _graph_bodies(graph: Hypergraph, k: int | None, labels: Labels | None) -> dict[str, list[str]]:
+def _graph_dict(graph: Hypergraph, k: int | None, labels: Labels | None) -> dict[str, Any]:
     """The keys a graph and a certificate document share, ``format_version`` to ``edges``."""
-    bodies = {
-        "format_version": [json.dumps(FORMAT_VERSION)],
-        "r": [json.dumps(graph.r)],
-        "n": [json.dumps(graph.n)],
-    }
+    doc: dict[str, Any] = {"format_version": FORMAT_VERSION, "r": graph.r, "n": graph.n}
     if k is not None:
-        bodies["k"] = [json.dumps(k)]
+        doc["k"] = k
     if labels is not None:
-        bodies["labels"] = _render_list(
-            [f'{{"layer": {lab.layer}, "index": {lab.index}}}' for lab in labels]
-        )
-    bodies["edges"] = _render_edges(graph.sorted_edges)
-    return bodies
+        doc["labels"] = [{"layer": lab.layer, "index": lab.index} for lab in labels]
+    doc["edges"] = list(graph.sorted_edges)
+    return doc
 
 
 def emit_graph(doc: GraphDocument | Hypergraph) -> str:
     """Canonical text for a graph document (byte-deterministic)."""
     if isinstance(doc, Hypergraph):
         doc = GraphDocument(doc)
-    return _emit_document(_graph_bodies(doc.graph, doc.k, doc.labels))
+    return _emit_document(_graph_dict(doc.graph, doc.k, doc.labels))
 
 
 def emit_certificate(doc: CertificateDocument | SequentialCertificate) -> str:
@@ -170,13 +158,11 @@ def emit_certificate(doc: CertificateDocument | SequentialCertificate) -> str:
     if isinstance(doc, SequentialCertificate):
         doc = CertificateDocument(doc)
     cert = doc.certificate
-    bodies = _graph_bodies(cert.graph, cert.k, doc.labels)
-    bodies["ignition"] = [json.dumps(list(cert.ignition))]
-    bodies["sequence"] = _render_edges(cert.sequence)
-    bodies["predicted_t"] = [json.dumps(cert.predicted_t)]
+    data = _graph_dict(cert.graph, cert.k, doc.labels)
+    data.update(ignition=cert.ignition, sequence=list(cert.sequence), predicted_t=cert.predicted_t)
     if cert.apex is not None:
-        bodies["apex"] = [json.dumps(cert.apex)]
-    return _emit_document(bodies)
+        data["apex"] = cert.apex
+    return _emit_document(data)
 
 
 def emit_trace(result: RunResult, sink: TextIO) -> None:
