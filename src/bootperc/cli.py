@@ -29,9 +29,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-
-def _labels_for(n: int, k: int):
-    return tuple(id_to_label(i, k) for i in range(n))
+# the option to change, by (command, engine), when a run meets more m-tuples than its cap
+_BUDGET_HINTS = {
+    ("run", "fast"): "; raise --max-tuples",
+    ("run", "naive"): "; use the fast engine with a larger --max-tuples",
+    ("verify", None): "; raise --max-tuples",
+}
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -46,7 +49,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     g = cert.graph
     print(f"vertices={g.n} edges={len(g)} predicted_T={cert.predicted_t}")
     if args.out is not None:
-        doc = io.CertificateDocument(cert, labels=_labels_for(g.n, cert.k))
+        doc = io.CertificateDocument(cert, labels=tuple(id_to_label(i, cert.k) for i in range(g.n)))
         Path(args.out).write_text(io.emit_certificate(doc), encoding="utf-8")
     return EXIT_OK
 
@@ -181,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TupleBudgetExceeded, SearchCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = _BUDGET_HINTS.get((args.command, getattr(args, "engine", None)), "")
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # io.DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -111,14 +111,23 @@ def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) ->
     return t
 
 
-def supersets(e: Edge, n: int, m: int) -> list[tuple[int, ...]]:
+def supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All sorted m-vertex tuples over [0, n) containing ``e``, in lex order of the
-    added vertex set (for m = len(e) + 1, the n - r single-vertex extensions).
-    ``e`` is sorted and checked once; :func:`_inserted` builds each tuple sorted."""
+    added vertex set (for m = len(e) + 1, the n - r single-vertex extensions, each
+    yielded as it is built).  ``e`` is sorted and checked once; no tuple is sorted."""
     if m <= len(e):
         raise ValueError(f"m must exceed the edge arity {len(e)}, got {m}")
     s = make_edge(e, n=n)
-    return _inserted(s, 0, n, m - len(s))
+    return _one_more(s, 0, n) if m == len(s) + 1 else iter(_inserted(s, 0, n, m - len(s)))
+
+
+def _one_more(tail: Edge, lo: int, n: int) -> Iterator[tuple[int, ...]]:
+    """``tail`` with one vertex of [lo, n) outside it inserted at its gap, in vertex order."""
+    for p, hi in enumerate(tail + (n,)):
+        pre, suf = tail[:p], tail[p:]
+        for v in range(lo, hi):
+            yield pre + (v,) + suf
+        lo = hi + 1
 
 
 def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
@@ -126,17 +135,16 @@ def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
     of the k; every vertex of ``tail`` is at least ``lo``.  For k > 1 and a first added v
     before tail[p], the rest are the last C(|(v, n) - tail[p:]|, k - 1) tuples of
     ``_inserted(tail[p:], lo + 1, n, k - 1)``: those adding vertices above v only."""
+    if k == 1:
+        return list(_one_more(tail, lo, n))
     out: list[tuple[int, ...]] = []
     for p, hi in enumerate(tail + (n,)):
         if lo < hi:
             pre, suf = tail[:p], tail[p:]
-            if k == 1:
-                out += [pre + (v,) + suf for v in range(lo, hi)]
-            else:
-                rest = _inserted(suf, lo + 1, n, k - 1)
-                for v in range(lo, hi):
-                    head = pre + (v,)
-                    out += [head + q for q in rest[len(rest) - comb(n - v - 1 - len(suf), k - 1):]]
+            rest = _inserted(suf, lo + 1, n, k - 1)
+            for v in range(lo, hi):
+                head = pre + (v,)
+                out += [head + q for q in rest[len(rest) - comb(n - v - 1 - len(suf), k - 1):]]
         lo = hi + 1
     return out
 

@@ -25,7 +25,9 @@ Two engines produce identical per-step traces:
 ``verify`` recounts and cross-checks with ``_naive_generations`` and
 replays several starts from one seeded ``_LinkState`` (``add``, ``fire``,
 ``copy``).  ``_budget`` refuses, for both engines, a graph one of whose
-edges alone meets more m-tuples than the cap.
+edges alone meets more m-tuples than the cap.  Past a cap both raise
+TupleBudgetExceeded("more than N distinct m-tuples meet the infected
+graph"), naming no option: the CLI adds which one to change.
 
 The two share no update code: :func:`run_naive` recounts, :func:`run_fast`
 reads link masks.  :func:`step` is the definitional single-generation
@@ -155,6 +157,8 @@ def _naive_generations(
     the first time it is used), or all C(n, m) tuples.  A first ``frontier``
     smaller than ``infected`` is exact when every m-tuple that fires first
     contains one of its edges."""
+    if not frontier:  # before any C(n, r), which takes seconds at huge n and r
+        return
     total, sweep, per_edge = comb(n, r), comb(n, m), comb(n - r, m - r)
     uninfected: set[Edge] | None = None
     while frontier:
@@ -189,7 +193,7 @@ def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     meets more than DEFAULT_MAX_TUPLES m-tuples.
     """
     m = _check_m(g0, m)
-    _budget(g0, m, None, fix="use the fast engine with a larger --max-tuples")
+    _budget(g0, m, None)
     return _result(g0, list(_naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges)))
 
 
@@ -216,20 +220,18 @@ def _mask(e: Edge) -> int:
     return f
 
 
-def _over_budget(budget: int, fix: str = "raise --max-tuples") -> TupleBudgetExceeded:
-    return TupleBudgetExceeded(
-        f"more than {budget} distinct m-tuples meet the infected graph; {fix}"
-    )
+def _over_budget(budget: int) -> TupleBudgetExceeded:
+    return TupleBudgetExceeded(f"more than {budget} distinct m-tuples meet the infected graph")
 
 
-def _budget(g: Hypergraph, m: int, max_tuples: int | None, fix: str = "raise --max-tuples") -> int:
+def _budget(g: Hypergraph, m: int, max_tuples: int | None) -> int:
     """The tuple cap, DEFAULT_MAX_TUPLES unless given, checked against ``g`` up front."""
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
     if budget < 0:
         raise ValueError(f"max_tuples must be >= 0, got {budget}")
     if g.edges and comb(g.n - g.r, m - g.r) > budget:
         # any one edge meets that many tuples; nothing of size n is built
-        raise _over_budget(budget, fix)
+        raise _over_budget(budget)
     return budget
 
 
@@ -243,8 +245,9 @@ class _LinkState:
     brings are S | {v} for the (r-1)-subsets S of U, so the planes
     ``link[S]`` decide them for every v at once: v is kept while at most
     one facet of the tuple is missing, and the last vertex fires that
-    one facet.  ``touched`` counts the distinct m-tuples meeting the
-    graph; :meth:`add` raises TupleBudgetExceeded past ``budget``.
+    one facet; a search ends once fewer vertices are left than it needs.
+    ``touched`` counts the distinct m-tuples meeting the graph;
+    :meth:`add` raises TupleBudgetExceeded past ``budget``.
     """
 
     def __init__(self, n: int, r: int, m: int, budget: int) -> None:
@@ -252,6 +255,7 @@ class _LinkState:
         self.full = (1 << n) - 1
         self.link: dict[int, int] = {}
         self.touched = 0
+        self.covered = 0  # the vertices of the infected edges
 
     def copy(self) -> _LinkState:
         other = copy.copy(self)
@@ -270,6 +274,7 @@ class _LinkState:
                 raise _over_budget(self.budget)
             for x, v in zip(subs[r - 1], vals):
                 link[x] = v | (f ^ x)
+            self.covered |= f
             level.append((f, subs))
         return level
 
@@ -315,11 +320,12 @@ class _LinkState:
         """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A."""
         for v in vals:
             cand &= ~v
-        if k == 1:
-            return cand.bit_count()
-        return sum(
+        if k == 1 or not cand & self.covered:  # no infected facet can meet A: any k count
+            return comb(cand.bit_count(), k)
+        bits = _bits(cand)
+        return sum(  # a first added vertex needs k - 1 candidates above it
             self._count(*self._grow(subs, vals, b, k), cand & -(b << 1), k - 1)
-            for b in _bits(cand)
+            for b in bits[: max(len(bits) - k + 1, 0)]
         )
 
     def _fire(
@@ -330,6 +336,8 @@ class _LinkState:
 
         ``missing`` is the one uninfected facet inside U, if any.
         """
+        if cand.bit_count() < k:
+            return
         keys = subs[self.r - 1]
         prefix = [cand]  # prefix[i]: cand and the first i planes
         for v in vals:

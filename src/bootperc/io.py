@@ -1,13 +1,12 @@
 """Deterministic text serialization for graphs, certificates, and traces.
 
-Each document is built as a dict of JSON values in a fixed key order
-and rendered by one function: two-space indentation, a non-empty
-top-level list (edges, labels, sequence) with one compact item per
-line, every other value (the ignition tuple included) on its key's
-line, and a terminating newline.  Emitting is byte-identical across
-platforms and re-emitting a parsed canonical document reproduces it
-exactly.  Traces are line-delimited JSON records, one
-infected edge per line after a header carrying r, n, and T.
+Each document is a dict of JSON values in a fixed key order, rendered
+by one function with two-space indentation: a non-empty top-level list
+one compact item per line, any other value (the ignition included) on
+its key's line, a None value left out, and a final newline.  Emitting
+is byte-identical across platforms and re-emitting a parsed canonical
+document reproduces it exactly.  Traces are line-delimited JSON
+records, one infected edge per line after a header carrying r, n, and T.
 
 A :class:`GraphDocument` holds a :class:`Hypergraph`, with the optional
 construction parameter k and vertex labels; a :class:`CertificateDocument`
@@ -29,7 +28,7 @@ builds checks its sequence edges again, as it does for any caller.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, TextIO
 
 from .constructions import CertificateError, SequentialCertificate
@@ -123,27 +122,25 @@ class CertificateDocument:
 
 
 def _emit_document(doc: dict[str, Any]) -> str:
-    """Render ``doc`` in key order: a non-empty list one compact item per line, any
-    other value (a tuple such as the ignition included) on its key's line."""
+    """Render ``doc`` in key order, leaving out None: a non-empty list one compact item
+    per line, any other value (a tuple such as the ignition included) on its key's line."""
     lines = []
     for key, value in doc.items():
         if isinstance(value, list) and value:
-            text = "[\n" + ",\n".join(f"    {json.dumps(item)}" for item in value) + "\n  ]"
-        else:
-            text = json.dumps(value)
-        lines.append(f'  "{key}": {text}')
+            items = ",\n".join(f"    {json.dumps(item)}" for item in value)
+            lines.append(f'  "{key}": [\n{items}\n  ]')
+        elif value is not None:
+            lines.append(f'  "{key}": {json.dumps(value)}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _graph_dict(graph: Hypergraph, k: int | None, labels: Labels | None) -> dict[str, Any]:
     """The keys a graph and a certificate document share, ``format_version`` to ``edges``."""
-    doc: dict[str, Any] = {"format_version": FORMAT_VERSION, "r": graph.r, "n": graph.n}
-    if k is not None:
-        doc["k"] = k
-    if labels is not None:
-        doc["labels"] = [{"layer": lab.layer, "index": lab.index} for lab in labels]
-    doc["edges"] = list(graph.sorted_edges)
-    return doc
+    return {
+        "format_version": FORMAT_VERSION, "r": graph.r, "n": graph.n, "k": k,
+        "labels": None if labels is None else [asdict(lab) for lab in labels],
+        "edges": list(graph.sorted_edges),
+    }
 
 
 def emit_graph(doc: GraphDocument | Hypergraph) -> str:
@@ -158,11 +155,10 @@ def emit_certificate(doc: CertificateDocument | SequentialCertificate) -> str:
     if isinstance(doc, SequentialCertificate):
         doc = CertificateDocument(doc)
     cert = doc.certificate
-    data = _graph_dict(cert.graph, cert.k, doc.labels)
-    data.update(ignition=cert.ignition, sequence=list(cert.sequence), predicted_t=cert.predicted_t)
-    if cert.apex is not None:
-        data["apex"] = cert.apex
-    return _emit_document(data)
+    return _emit_document(_graph_dict(cert.graph, cert.k, doc.labels) | {
+        "ignition": cert.ignition, "sequence": list(cert.sequence),
+        "predicted_t": cert.predicted_t, "apex": cert.apex,
+    })
 
 
 def emit_trace(result: RunResult, sink: TextIO) -> None:

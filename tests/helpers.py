@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 from math import comb
 
 from bootperc import (
@@ -82,11 +84,11 @@ def reference_naive_generations(
 
 
 def count_supersets(monkeypatch) -> dict[str, int]:
-    """Count the engine's ``supersets`` calls and the tuples they return."""
+    """Count the engine's ``supersets`` calls and the tuples they yield."""
     counts = {"calls": 0, "tuples": 0}
 
     def counting(e, n, m):
-        out = supersets(e, n, m)
+        out = list(supersets(e, n, m))
         counts["calls"] += 1
         counts["tuples"] += len(out)
         return out
@@ -202,3 +204,23 @@ def reference_clique_census(g: Hypergraph) -> frozenset[tuple[int, ...]]:
     return frozenset(
         t for t in _tuples_meeting(g) if all(f in g for f in facets(t))
     )
+
+
+class Overran(BaseException):
+    """A call ran past its deadline (a BaseException, so ``cli.main`` cannot turn it into an exit code)."""
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise Overran in the main thread once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,12 +3,15 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bootperc import Hypergraph, build_base, cli, constructions, verify
+from bootperc import Hypergraph, build_base, cli, constructions, engine, verify
 from bootperc.cli import main
+from bootperc.core import id_to_label
 from bootperc.io import CertificateDocument, emit_certificate, emit_graph
 
-from helpers import inject_headless_fire, padded_base, refuse_sweep
+from helpers import deadline, inject_headless_fire, padded_base, refuse_sweep
 
 
 @pytest.fixture()
@@ -17,6 +20,10 @@ def base_cert_file(tmp_path):
     rc = main(["build", "--r", "3", "--k", "2", "--stage", "base", "--out", str(path)])
     assert rc == 0
     return path
+
+
+ONE_EDGE = {"format_version": "1", "r": 2, "n": 40, "edges": [[0, 1]]}
+HUGE_EMPTY = {"format_version": "1", "r": 200_000, "n": 10**30, "edges": []}
 
 
 def corrupt_sequence_entry(path, index, new_edge):
@@ -91,6 +98,18 @@ class TestRun:
         assert main(["run", "--in", str(path), "--m", "5"]) == 0
         assert capsys.readouterr().out == "T=1\n"
 
+    @pytest.mark.parametrize("engine", ["fast", "naive"])
+    @pytest.mark.parametrize("doc, m", [
+        (ONE_EDGE, "36"), (ONE_EDGE, "1000"), (HUGE_EMPTY, None), (dict(HUGE_EMPTY, n=3), None),
+    ], ids=["m36", "m1000", "huge-empty", "empty-below-r"])
+    def test_degenerate_inputs_end_at_once(self, tmp_path, capsys, engine, doc, m):
+        # C(38, 34) and C(38, 998) tuples meet the one edge; no edge at all, at r = 200000
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with deadline(2):
+            assert main(["run", "--in", str(path), "--engine", engine, *(["--m", m] if m else [])]) == 0
+        assert capsys.readouterr() == ("T=0\n", "")
+
     def test_missing_file(self, tmp_path):
         assert main(["run", "--in", str(tmp_path / "nope.json")]) == 2
 
@@ -143,6 +162,26 @@ class TestRun:
         argv = ["run", "--in", str(base_cert_file), "--engine", "naive", "--max-tuples", "10"]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: --max-tuples applies to the fast engine only\n")
+
+
+class TestBudgetHints:
+    """The engines name the cap; the CLI adds which flag to change, if the command has one."""
+
+    @pytest.mark.parametrize("argv, hint", [
+        (["run", "--in"], "; raise --max-tuples"),
+        (["run", "--engine", "naive", "--in"], "; use the fast engine with a larger --max-tuples"),
+        (["verify", "--in"], "; raise --max-tuples"),
+        (["check-base", "--k", "2"], ""),
+    ], ids=["run-fast", "run-naive", "verify", "check-base"])
+    def test_over_cap_line(self, base_cert_file, monkeypatch, capsys, argv, hint):
+        # each edge of the k = 2 base meets C(11 - 3, 1) = 8 triangles, past a cap of 5
+        monkeypatch.setattr(engine, "DEFAULT_MAX_TUPLES", 5)
+        if argv[-1] == "--in":
+            argv = [*argv, str(base_cert_file)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"error: more than 5 distinct m-tuples meet the infected graph{hint}\n"
+        )
 
 
 class TestVerify:
@@ -368,3 +407,93 @@ class TestPlumbing:
 
     def test_missing_required_flag_exits_two(self):
         assert main(["build", "--r", "3"]) == 2
+
+
+READERS = [["run", "--engine", "fast"], ["run", "--engine", "naive"], ["verify"]]
+
+
+def assert_bounded_exit(argv, capsys) -> int:
+    """Run ``main`` for at most 2 s: an exit code of 0-3 and at most one ``error:`` line."""
+    with deadline(2):
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"))
+    return code
+
+
+def base_text() -> str:
+    cert = build_base(2)
+    labels = tuple(id_to_label(i, 2) for i in range(cert.graph.n))
+    return emit_certificate(CertificateDocument(cert, labels=labels))
+
+
+HOSTILE_TEXTS = {
+    "empty": lambda: b"",
+    "invalid-utf8": lambda: b'\xff\xfe{"r": 3}',
+    "truncated": lambda: base_text().encode()[: len(base_text()) // 2],
+    "deep-list": lambda: b"[" * 100_000,
+    "deep-object": lambda: b'{"a": ' * 50_000,
+    "top-level-list": lambda: b"[1, 2, 3]",
+    "too-many-digits": lambda: b'{"format_version": "1", "r": 3, "n": 1' + b"0" * 5000 + b', "edges": []}',
+    "huge-n": lambda: json.dumps({"format_version": "1", "r": 3, "n": 10**4000, "edges": [[0, 1, 2]]}),
+    "huge-vertex": lambda: json.dumps({"format_version": "1", "r": 2, "n": 10**30, "edges": [[0, 10**29]]}),
+    "negative-n": lambda: json.dumps({"format_version": "1", "r": 3, "n": -10**30, "edges": []}),
+    "negative-vertex": lambda: json.dumps({"format_version": "1", "r": 2, "n": 5, "edges": [[-1, 2]]}),
+    "one-edge": lambda: json.dumps(ONE_EDGE),
+    "huge-empty": lambda: json.dumps(HUGE_EMPTY),
+}
+
+STANDINS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([-1, 0, 1, 2, 3, 11, 1.5, 10**30, -(10**30), 10**4000]),
+    st.lists(st.integers(-2, 12), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def mutated_certificate(draw) -> str:
+    """The labelled k = 2 base certificate after one to three drawn mutations."""
+    data = json.loads(base_text())
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from([*data, "extra"]))
+        op = draw(st.sampled_from(["replace", "delete", "inner"]))
+        value = data.get(key)
+        if op == "delete":
+            data.pop(key, None)
+        elif op == "inner" and isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            if isinstance(value[i], list) and value[i] and draw(st.booleans()):
+                value[i][draw(st.integers(0, len(value[i]) - 1))] = draw(STANDINS)
+            else:
+                value[i] = draw(STANDINS)
+        else:
+            data[key] = draw(STANDINS)
+    return json.dumps(data)
+
+
+class TestReaderFuzz:
+    """Every document the readers get ends within 2 s in a documented exit, one line at most."""
+
+    @pytest.mark.parametrize("name", ["missing", "directory", *HOSTILE_TEXTS])
+    def test_hostile_inputs(self, name, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        if name == "directory":
+            path = tmp_path
+        elif name != "missing":
+            text = HOSTILE_TEXTS[name]()
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        codes = {assert_bounded_exit([*reader, "--in", str(path)], capsys) for reader in READERS}
+        assert codes <= {0, 2, 3}
+
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_certificates(self, tmp_path, capsys, data):
+        path = tmp_path / "cert.json"
+        path.write_text(mutated_certificate(data.draw))
+        for reader in READERS:
+            assert_bounded_exit([*reader, "--in", str(path)], capsys)

@@ -126,6 +126,18 @@ class TestRunNaive:
         assert res == run_fast(g)
         assert peak < 2 * 10**6
 
+    def test_supersets_of_one_edge_are_never_listed(self):
+        # the n - 2 triangles through the one edge, listed at once, peak near 21 MB
+        g = Hypergraph.from_edges(2 * 10**5, 2, [(0, 1)])
+        tracemalloc.start()
+        try:
+            res = run_naive(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.running_time == 0
+        assert peak < 10**6
+
     def test_dense_generations_recount_through_the_uninfected_edges(self, monkeypatch):
         # through each generation's frontier alone this run recounts 410,326 tuples
         g = random_hypergraph(random.Random(5), 100, 2, 0.03)
@@ -232,6 +244,21 @@ class TestEngineEquivalence:
         fast = run_fast(g, m=m)
         assert fast == run_naive(g, m=m)
         assert fast.running_time >= 1
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_clique_sizes_near_the_vertex_count(self, r, data):
+        # m close to or above n: few or no tuples, deep or empty searches for m - r vertices
+        g = data.draw(small_graphs(r, r, 9))
+        for m in range(max(g.n - 2, r + 1), g.n + 3):
+            fast = run_fast(g, m=m)
+            assert tuple(iterate_step(g, m=m)) == fast.trace.steps
+            assert fast == run_naive(g, m=m)
+            touched = {t for e in fast.final_graph.edges for t in supersets(e, g.n, m)}
+            if touched:
+                with pytest.raises(TupleBudgetExceeded):
+                    run_fast(g, m=m, max_tuples=len(touched) - 1)
 
     def test_random_small_instances_all_three_engines(self):
         rng = random.Random(0x5EED)
