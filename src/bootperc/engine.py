@@ -157,7 +157,7 @@ def _naive_generations(
     the first time it is used), or all C(n, m) tuples.  A first ``frontier``
     smaller than ``infected`` is exact when every m-tuple that fires first
     contains one of its edges."""
-    if not frontier:  # before any C(n, r), which takes seconds at huge n and r
+    if not frontier or m > n:  # nothing fires; C(n, r) alone takes seconds at huge n and r
         return
     total, sweep, per_edge = comb(n, r), comb(n, m), comb(n - r, m - r)
     uninfected: set[Edge] | None = None

@@ -100,10 +100,11 @@ class TestRun:
 
     @pytest.mark.parametrize("engine", ["fast", "naive"])
     @pytest.mark.parametrize("doc, m", [
-        (ONE_EDGE, "36"), (ONE_EDGE, "1000"), (HUGE_EMPTY, None), (dict(HUGE_EMPTY, n=3), None),
-    ], ids=["m36", "m1000", "huge-empty", "empty-below-r"])
+        (ONE_EDGE, "36"), (ONE_EDGE, "1000"), (ONE_EDGE, str(10**30)),
+        (HUGE_EMPTY, None), (dict(HUGE_EMPTY, n=3), None),
+    ], ids=["m36", "m1000", "m-huge", "huge-empty", "empty-below-r"])
     def test_degenerate_inputs_end_at_once(self, tmp_path, capsys, engine, doc, m):
-        # C(38, 34) and C(38, 998) tuples meet the one edge; no edge at all, at r = 200000
+        # C(38, 34), C(38, 998) and no tuples meet the one edge; no edge at all, at r = 200000
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
         with deadline(2):
