@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bootperc import Hypergraph, build_base, cli, constructions, engine, verify
+from bootperc import Hypergraph, build_base, cli, constructions, verify
 from bootperc.cli import main
 from bootperc.core import id_to_label
 from bootperc.io import CertificateDocument, emit_certificate, emit_graph
@@ -176,7 +176,7 @@ class TestBudgetHints:
     ], ids=["run-fast", "run-naive", "verify", "check-base"])
     def test_over_cap_line(self, base_cert_file, monkeypatch, capsys, argv, hint):
         # each edge of the k = 2 base meets C(11 - 3, 1) = 8 triangles, past a cap of 5
-        monkeypatch.setattr(engine, "DEFAULT_MAX_TUPLES", 5)
+        monkeypatch.setattr("bootperc.engine.DEFAULT_MAX_TUPLES", 5)
         if argv[-1] == "--in":
             argv = [*argv, str(base_cert_file)]
         assert main(argv) == 3
