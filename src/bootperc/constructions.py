@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as EULER_E
 
-from .core import Edge, Hypergraph, VertexLabel, label_to_id, layer_width, make_edge
+from .core import Edge, Hypergraph, VertexLabel, _is_int, label_to_id, layer_width, make_edge
 
 __all__ = [
     "SequentialCertificate",
@@ -87,12 +87,16 @@ class SequentialCertificate:
                 raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
             if i >= 1 and edge in g:
                 raise CertificateError(f"sequence[{i}] already lies in the graph")
+        if not _is_int(self.predicted_t):
+            raise CertificateError(f"predicted_t must be an int, got {self.predicted_t!r}")
         if self.predicted_t != len(self.sequence) - 1:
             raise CertificateError(
                 f"predicted_t = {self.predicted_t} but sequence has "
                 f"{len(self.sequence)} edges"
             )
         if self.apex is not None:
+            if not _is_int(self.apex):
+                raise CertificateError(f"apex must be an int, got {self.apex!r}")
             if not 0 <= self.apex < g.n:
                 raise CertificateError(f"apex {self.apex} out of range")
             for edge in self.sequence:
@@ -221,18 +225,11 @@ def _bridge_gadget(
     """r-subsets of (three new-layer vertices + a sequence-edge stub),
     excluding those containing both outer new vertices and those
     containing the whole stub."""
-    lo, _, hi = triple
-    base = tuple(sorted(triple + tail))
-    tail_set = set(tail)
-    out: set[Edge] = set()
-    for e in itertools.combinations(base, r):
-        es = set(e)
-        if lo in es and hi in es:
-            continue
-        if tail_set <= es:
-            continue
-        out.add(e)
-    return out
+    outer, stub = {triple[0], triple[2]}, set(tail)
+    return {
+        e for e in itertools.combinations(sorted(triple + tail), r)
+        if not (outer <= set(e) or stub <= set(e))
+    }
 
 
 def glue(cert: SequentialCertificate, k: int) -> SequentialCertificate:
@@ -412,8 +409,4 @@ def witness_for_n(r: int, n: int) -> Hypergraph:
         raise ValueError(f"r must be >= 3, got {r}")
     if n < 2 * r * r:
         raise ValueError(f"n must be >= 2r^2 = {2 * r * r}, got {n}")
-    k = k_for_n(r, n)
-    needed = r * layer_width(k)
-    if n < needed:
-        raise ValueError(f"n = {n} too small for k = {k} (needs {needed} vertices)")
-    return build_full(r, k).graph.padded(n)
+    return build_full(r, k_for_n(r, n)).graph.padded(n)  # r(4k - 3) <= n by k_for_n

@@ -26,6 +26,7 @@ __all__ = [
     "DuplicateVertexError",
     "ArityError",
     "VertexRangeError",
+    "VertexTypeError",
     "LabelRangeError",
     "make_edge",
     "label_to_id",
@@ -50,6 +51,10 @@ class ArityError(EdgeError):
 
 class VertexRangeError(EdgeError):
     """A vertex id falls outside [0, n)."""
+
+
+class VertexTypeError(EdgeError):
+    """A vertex id is not a plain int: a bool or a float, say."""
 
 
 class LabelRangeError(ValueError):
@@ -93,13 +98,23 @@ def id_to_label(vid: int, k: int) -> VertexLabel:
     return VertexLabel(layer=vid // w + 1, index=vid % w + 1)
 
 
+_INT = frozenset({int})
+
+
+def _is_int(value: object) -> bool:
+    """A plain int, the only number a document holds: not a bool, float or int subclass."""
+    return type(value) is int
+
+
 def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) -> Edge:
     """Canonicalize a vertex id sequence into a sorted edge.
 
-    Raises a distinct error for duplicate ids, wrong arity (when ``r``
-    is given), and out-of-range ids (when ``n`` is given).
+    Raises a distinct error for ids that are not ints, duplicate ids, wrong
+    arity (when ``r`` is given), and out-of-range ids (when ``n`` is given).
     """
     t = tuple(sorted(ids))
+    if not _INT.issuperset(map(type, t)):  # _is_int of every id, without a call per id
+        raise VertexTypeError(f"vertex ids of edge {t} must be ints")
     if len(set(t)) != len(t):
         raise DuplicateVertexError(f"duplicate vertex in edge {t}")
     if r is not None and len(t) != r:
@@ -173,6 +188,8 @@ class Hypergraph:
                 raise DuplicateVertexError(f"edge {e} is not strictly increasing")
 
     def _check_sizes(self) -> None:
+        if not (_is_int(self.n) and _is_int(self.r)):
+            raise ValueError(f"n and r must be ints, got n={self.n!r}, r={self.r!r}")
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
         if self.r < 1:

@@ -246,7 +246,9 @@ class _LinkState:
     ``link[S]`` decide them for every v at once: v is kept while at most
     one facet of the tuple is missing, and the last vertex fires that
     one facet; a search ends once fewer vertices are left than it needs.
-    ``touched`` counts the distinct m-tuples meeting the graph;
+    A search carries U as ``bits``, its vertices as single-bit ints, and
+    ``keys``, the flat list of U's (r-1)-subsets, with their planes
+    ``vals``.  ``touched`` counts the distinct m-tuples meeting the graph;
     :meth:`add` raises TupleBudgetExceeded past ``budget``.
     """
 
@@ -262,20 +264,21 @@ class _LinkState:
         other.link = dict(self.link)
         return other
 
-    def add(self, edges: Iterable[int]) -> list[tuple[int, list[list[int]]]]:
+    def add(self, edges: Iterable[int]) -> list[tuple[list[int], list[int]]]:
         """Count the tuples each edge newly meets and enter it in ``link``; return their level."""
-        r, link, full, k = self.r, self.link, self.full, self.m - self.r
+        link, full, k = self.link, self.full, self.m - self.r
         level = []
         for f in edges:
-            subs = self._subsets(f)
-            vals = [link.get(x, 0) for x in subs[r - 1]]
-            self.touched += self._count(subs, vals, full & ~f, k)
+            bits = _bits(f)
+            keys = [f ^ b for b in bits]
+            vals = [link.get(x, 0) for x in keys]
+            self.touched += self._count(bits, keys, vals, full & ~f, k)
             if self.touched > self.budget:
                 raise _over_budget(self.budget)
-            for x, v in zip(subs[r - 1], vals):
-                link[x] = v | (f ^ x)
+            for b, x, v in zip(bits, keys, vals):
+                link[x] = v | b
             self.covered |= f
-            level.append((f, subs))
+            level.append((bits, keys))
         return level
 
     def fire(self, level: list) -> set[int]:
@@ -283,10 +286,10 @@ class _LinkState:
 
         ``new[S]`` gathers each v with S | {v} fired; its bits are listed once, at the end.
         """
-        r, link, full, k, fire = self.r, self.link, self.full, self.m - self.r, self._fire
+        link, full, k, fire = self.link, self.full, self.m - self.r, self._fire
         new: dict[int, int] = {}
-        for e, subs in level:
-            fire(subs, [link.get(x, 0) for x in subs[r - 1]], full & ~e, k, None, new)
+        for bits, keys in level:
+            fire(bits, keys, [link.get(x, 0) for x in keys], full & ~sum(bits), k, None, new)
         return {key | b for key, plane in new.items() for b in _bits(plane)}
 
     def run(self, level: list) -> list[frozenset[Edge]]:
@@ -297,40 +300,26 @@ class _LinkState:
             level = self.add(new)
         return steps
 
-    def _subsets(self, e: int) -> list[list[int]]:
-        """subs[j]: the j-subsets of e, for every j >= r - (m - r)."""
-        r, ebits = self.r, _bits(e)
-        lo = max(2 * r - self.m, 0)  # levels below lo are never read
-        return (
-            [[]] * lo
-            + [[sum(c) for c in itertools.combinations(ebits, j)] for j in range(lo, r - 1)]
-            + [[e ^ b for b in ebits]]
-        )
+    def _grow(self, bits: list[int], keys: list[int], vals: list[int], b: int) -> tuple:
+        """bits, keys and planes of U | {b}: b joins each (r-2)-subset of U (none when r = 1)."""
+        new = [b + sum(c) for c in itertools.combinations(bits, self.r - 2)] if self.r > 1 else []
+        return bits + [b], keys + new, vals + [self.link.get(x, 0) for x in new]
 
-    def _grow(self, subs: list[list[int]], vals: list[int], b: int, k: int) -> tuple[list, list]:
-        """subs and planes of U | {b} from those of U, with k - 1 vertices left to add."""
-        r = self.r
-        out = [
-            (subs[j] + [x | b for x in subs[j - 1]] if j else subs[0]) if j > r - k else []
-            for j in range(r)
-        ]
-        return out, vals + [self.link.get(x, 0) for x in out[r - 1][len(vals):]]
-
-    def _count(self, subs: list[list[int]], vals: list[int], cand: int, k: int) -> int:
+    def _count(self, bits: list[int], keys: list[int], vals: list[int], cand: int, k: int) -> int:
         """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A."""
         for v in vals:
             cand &= ~v
         if k == 1 or not cand & self.covered:  # no infected facet can meet A: any k count
             return comb(cand.bit_count(), k)
-        bits = _bits(cand)
+        later = _bits(cand)
         return sum(  # a first added vertex needs k - 1 candidates above it
-            self._count(*self._grow(subs, vals, b, k), cand & -(b << 1), k - 1)
-            for b in bits[: max(len(bits) - k + 1, 0)]
+            self._count(*self._grow(bits, keys, vals, b), cand & -(b << 1), k - 1)
+            for b in later[: max(len(later) - k + 1, 0)]
         )
 
     def _fire(
-        self, subs: list[list[int]], vals: list[int], cand: int, k: int, missing: int | None,
-        new: dict[int, int],
+        self, bits: list[int], keys: list[int], vals: list[int], cand: int, k: int,
+        missing: int | None, new: dict[int, int],
     ) -> None:
         """Add to ``new`` the facets fired by tuples U | A, A k vertices from ``cand``.
 
@@ -338,7 +327,6 @@ class _LinkState:
         """
         if cand.bit_count() < k:
             return
-        keys = subs[self.r - 1]
         prefix = [cand]  # prefix[i]: cand and the first i planes
         for v in vals:
             prefix.append(prefix[-1] & v)
@@ -350,7 +338,9 @@ class _LinkState:
                     new[missing ^ low] = new.get(missing ^ low, 0) | low
                 return
             for b in _bits(all_in):
-                self._fire(*self._grow(subs, vals, b, k), all_in & -(b << 1), k - 1, missing, new)
+                self._fire(
+                    *self._grow(bits, keys, vals, b), all_in & -(b << 1), k - 1, missing, new
+                )
             return
         one = []  # (i, the vertices of cand in every plane but plane i and not in it)
         suffix = -1
@@ -367,11 +357,11 @@ class _LinkState:
         for _, plane in one:
             at_most_one |= plane
         for b in _bits(all_in):
-            self._fire(*self._grow(subs, vals, b, k), at_most_one & -(b << 1), k - 1, None, new)
+            self._fire(*self._grow(bits, keys, vals, b), at_most_one & -(b << 1), k - 1, None, new)
         for i, plane in one:
             for b in _bits(plane):
                 self._fire(
-                    *self._grow(subs, vals, b, k), all_in & -(b << 1), k - 1, keys[i] | b, new
+                    *self._grow(bits, keys, vals, b), all_in & -(b << 1), k - 1, keys[i] | b, new
                 )
 
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, TextIO
 
 from .constructions import CertificateError, SequentialCertificate
-from .core import Edge, Hypergraph, VertexLabel
+from .core import Edge, Hypergraph, VertexLabel, _is_int
 from .engine import RunResult
 
 __all__ = [
@@ -65,10 +65,6 @@ class DocumentError(ValueError):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{code}: {message}{where}")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_extras(n: int, k: Any, labels: Labels | None, optional_k: bool = False) -> None:
@@ -185,6 +181,8 @@ def _load_object(text: str) -> dict[str, Any]:
         raise DocumentError("syntax", exc.msg, line=exc.lineno) from exc
     except RecursionError as exc:
         raise DocumentError("syntax", "values nested too deeply") from exc
+    except ValueError as exc:  # an int of more digits than int() converts
+        raise DocumentError("syntax", str(exc)) from exc
     if not isinstance(data, dict):
         raise DocumentError("schema", "top-level value must be an object")
     return data

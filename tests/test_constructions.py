@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 from math import comb, floor
@@ -235,6 +236,7 @@ class TestTheoremBounds:
         for r in (3, 4, 5):
             for n in range(r, 80):
                 assert k_for_n(r, n) == floor((Fraction(n, r) + 3) / 4)
+                assert r * layer_width(k_for_n(r, n)) <= n  # witness_for_n needs no size check
 
 
 class TestWitnessForN:
@@ -256,6 +258,14 @@ class TestWitnessForN:
 
 
 class TestCertificateValidation:
+    @pytest.mark.parametrize("field", ["predicted_t", "apex"])
+    def test_predicted_t_and_apex_must_be_ints(self, field):
+        cert = build_base(2)
+        with pytest.raises(CertificateError, match="must be an int"):
+            dataclasses.replace(cert, **{field: float(getattr(cert, field))})
+        with pytest.raises(CertificateError, match="must be an int"):
+            dataclasses.replace(cert, **{field: True})
+
     def test_sequence_head_must_be_ignition(self):
         cert = build_base(2)
         with pytest.raises(CertificateError):

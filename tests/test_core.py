@@ -11,6 +11,7 @@ from bootperc.core import (
     LabelRangeError,
     VertexLabel,
     VertexRangeError,
+    VertexTypeError,
     facets,
     id_to_label,
     label_to_id,
@@ -42,6 +43,11 @@ class TestMakeEdge:
             make_edge((0, 5, 11), n=11)
         with pytest.raises(VertexRangeError):
             make_edge((-1, 2, 3))
+
+    @pytest.mark.parametrize("ids", [(0, 1, 2.0), (0, True, 2), (0.0,)])
+    def test_vertex_ids_must_be_ints(self, ids):
+        with pytest.raises(VertexTypeError):
+            make_edge(ids)
 
 
 class TestLabels:
@@ -183,6 +189,20 @@ class TestHypergraph:
             Hypergraph(n=4, r=3, edges=frozenset({(0, 1, 1)}))
         with pytest.raises(DuplicateVertexError):
             Hypergraph(n=4, r=3, edges=frozenset({(2, 1, 0)}))
+
+    @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), (True, 1), (5, True)])
+    def test_sizes_must_be_ints(self, n, r):
+        # a float or bool would be emitted as text the parser refuses
+        with pytest.raises(ValueError, match="must be ints"):
+            Hypergraph(n=n, r=r, edges=frozenset())
+
+    def test_constructor_refuses_a_float_vertex(self):
+        with pytest.raises(VertexTypeError):
+            Hypergraph(n=5, r=3, edges=frozenset({(0, 1, 2.0)}))
+
+    def test_from_edges_refuses_a_float_vertex(self):
+        with pytest.raises(VertexTypeError):
+            Hypergraph.from_edges(5, 3, [(0, 1, 2), (0, 1, 2.0)])
 
     def test_with_and_without(self):
         g = Hypergraph.from_edges(4, 3, [(0, 1, 2)])

@@ -183,7 +183,7 @@ class TestRunFast:
             tracemalloc.stop()
         assert peak < 10**6
 
-    @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("r, m", [(1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data())
     def test_drawn_budget_is_exactly_the_tuples_meeting_the_final_graph(self, r, m, data):
@@ -226,7 +226,10 @@ def dense_graphs(draw, r: int, n_min: int, n_max: int) -> Hypergraph:
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "r, m, n_max",
-        [(2, 3, 8), (2, 4, 8), (2, 5, 8), (4, 6, 8), (3, 4, 7), (3, 5, 7), (4, 5, 7)],
+        [
+            (1, 3, 8), (1, 4, 8), (2, 3, 8), (2, 4, 8), (2, 5, 8), (4, 6, 8), (3, 4, 7),
+            (3, 5, 7), (3, 6, 8), (4, 5, 7),
+        ],
     )
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data())

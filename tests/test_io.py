@@ -3,6 +3,7 @@ import hashlib
 import io as stdio
 import itertools
 import json
+import random
 from functools import cache
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from bootperc.io import (
     read_document,
 )
 
-from helpers import forbid_revalidation
+from helpers import forbid_revalidation, random_hypergraph
 
 
 def k34_doc() -> str:
@@ -101,6 +102,20 @@ GOLDEN_DIGESTS = [
 ]
 
 
+
+def fast_trace(seed: int, n: int, r: int, p: float, m: int) -> str:
+    sink = stdio.StringIO()
+    emit_trace(run_fast(random_hypergraph(random.Random(seed), n, r, p), m=m), sink)
+    return sink.getvalue()
+
+
+# (seed, n, r, p, m): random graphs near their thresholds, T = 18 and T = 4
+GOLDEN_TRACES = [
+    ((4, 16, 3, 0.4, 5), "c2bfb0952a372a677854014988627f25ab3279744b568ce433c84162f085f726"),
+    ((1, 30, 2, 0.06, 3), "27fec07d7d09510c059b98885adfa74fccace40aa022bd20111888b3aeb75748"),
+]
+
+
 class TestGoldenBytes:
     """The exact emitted text, so a change of layout cannot pass as a round trip."""
 
@@ -112,6 +127,10 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("emit, digest", GOLDEN_DIGESTS)
     def test_document_digests(self, emit, digest):
         assert hashlib.sha256(emit().encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("graph, digest", GOLDEN_TRACES)
+    def test_fast_trace_digests(self, graph, digest):
+        assert hashlib.sha256(fast_trace(*graph).encode("utf-8")).hexdigest() == digest
 
 
 class TestCertificateRoundTrip:
@@ -248,6 +267,10 @@ class TestParseErrors:
     def test_deep_nesting_is_a_syntax_error(self):
         for parse in (parse_graph, parse_certificate, read_document):
             self.assert_code("[" * 200_000, "syntax", parse=parse)
+
+    def test_integer_past_the_digit_limit_is_a_syntax_error(self):
+        # json.loads raises a plain ValueError past int()'s 4,300-digit limit
+        self.assert_code('{"n": 1' + "0" * 5000, "syntax")
 
     def test_top_level_must_be_object(self):
         self.assert_code("[1, 2]", "schema")
