@@ -91,8 +91,8 @@ class SequentialCertificate:
             raise CertificateError(f"predicted_t must be an int, got {self.predicted_t!r}")
         if self.predicted_t != len(self.sequence) - 1:
             raise CertificateError(
-                f"predicted_t = {self.predicted_t} but sequence has "
-                f"{len(self.sequence)} edges"
+                f"predicted_t = {self.predicted_t} but the sequence has "
+                f"{len(self.sequence) - 1} steps after the ignition"
             )
         if self.apex is not None:
             if not _is_int(self.apex):
@@ -232,23 +232,20 @@ def _bridge_gadget(
     }
 
 
-def glue(cert: SequentialCertificate, k: int) -> SequentialCertificate:
-    """Chain 2k-1 apex-renamed copies of ``cert`` through bridge gadgets.
+def glue(cert: SequentialCertificate) -> SequentialCertificate:
+    """Chain 2k-1 apex-renamed copies of ``cert`` through bridge gadgets, k = ``cert.k``.
 
     Copy j replaces the apex with the (2j-1)-th vertex of a fresh top
     layer; copies alternate forward/reverse traversal, joined by a
     single bridge edge on each even top-layer vertex.  The result has
-    no apex and runs for (2k-1) T + 4(k-1) steps.
+    no apex and runs for (2k-1) T + 4(k-1) steps.  A k <= 1 certificate
+    fails the layout check, or the layout leaves it one r-subset and T = 0.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k != cert.k:
-        raise ValueError(f"layer width is fixed by k={cert.k}; cannot glue with k={k}")
     if cert.apex is None:
         raise CertificateError("certificate has no apex; lift before gluing again")
     if cert.predicted_t < 2:
         raise CertificateError("gluing needs a certificate with at least 2 steps")
-    r = cert.r
+    r, k = cert.r, cert.k
     w = layer_width(k)
     if cert.graph.n != (r - 1) * w + 1 or cert.apex != (r - 1) * w:
         raise CertificateError(
@@ -339,7 +336,7 @@ def build_full(r: int, k: int) -> SequentialCertificate:
         raise ValueError(f"r must be >= 3, got {r}")
     cert = build_base(k)
     for rho in range(3, r + 1):
-        cert = glue(cert, k)
+        cert = glue(cert)
         if rho < r:
             cert = lift(cert)
     assert cert.predicted_t == full_running_time(r, k)

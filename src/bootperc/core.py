@@ -33,7 +33,6 @@ __all__ = [
     "id_to_label",
     "layer_width",
     "supersets",
-    "facets",
 ]
 
 
@@ -112,7 +111,10 @@ def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) ->
     Raises a distinct error for ids that are not ints, duplicate ids, wrong
     arity (when ``r`` is given), and out-of-range ids (when ``n`` is given).
     """
-    t = tuple(sorted(ids))
+    try:
+        t = tuple(sorted(ids))
+    except TypeError:  # ids of mixed types, an int and a str say, do not compare
+        raise VertexTypeError(f"vertex ids {ids!r} of an edge must be ints") from None
     if not _INT.issuperset(map(type, t)):  # _is_int of every id, without a call per id
         raise VertexTypeError(f"vertex ids of edge {t} must be ints")
     if len(set(t)) != len(t):
@@ -162,11 +164,6 @@ def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
                 out += [head + q for q in rest[len(rest) - comb(n - v - 1 - len(suf), k - 1):]]
         lo = hi + 1
     return out
-
-
-def facets(t: tuple[int, ...]) -> list[Edge]:
-    """The |t| facets of a sorted vertex tuple, dropping position p for p = 0.."""
-    return [t[:p] + t[p + 1 :] for p in range(len(t))]
 
 
 @dataclass(frozen=True)
@@ -242,7 +239,3 @@ class Hypergraph:
         if n < self.n:
             raise ValueError(f"cannot shrink vertex set from {self.n} to {n}")
         return Hypergraph._trusted(n, self.r, self.edges)
-
-    def max_edges(self) -> int:
-        """Edge count of the complete r-graph on this vertex set."""
-        return comb(self.n, self.r)

@@ -53,7 +53,6 @@ __all__ = [
     "step",
     "run_naive",
     "run_fast",
-    "is_stationary",
 ]
 
 DEFAULT_MAX_TUPLES = 10**8
@@ -99,9 +98,6 @@ class RunResult:
     trace: InfectionTrace
     running_time: int
 
-    def step_map(self) -> dict[Edge, int]:
-        return self.trace.step_map()
-
 
 def _check_m(g: Hypergraph, m: int | None) -> int:
     if m is None:
@@ -134,11 +130,6 @@ def step(g: Hypergraph, m: int | None = None) -> frozenset[Edge]:
     """
     m = _check_m(g, m)
     return frozenset(_recount(itertools.combinations(range(g.n), m), g.r, g.edges))
-
-
-def is_stationary(g: Hypergraph, m: int | None = None) -> bool:
-    """True iff no edge is infectable from ``g``."""
-    return not step(g, m)
 
 
 def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:

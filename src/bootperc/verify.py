@@ -312,7 +312,7 @@ def brute_force_max_time(
     evaluated bit-sliced; with jobs > 1 the chunks are split into
     contiguous ranges whose local results merge by (max T, then smallest
     mask), so the outcome is independent of the worker count.  At most
-    min(jobs, ranges, CPUs) worker processes are started, and none for
+    min(jobs, chunks, CPUs) worker processes are started, and none for
     a single range.
     """
     if r < 2:
@@ -323,21 +323,22 @@ def brute_force_max_time(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
+    # for r < n, C(n, r) >= n and C(n, r) >= 2^min(r, n - r): over the cap without computing it
+    if r < n and (n > cap or min(r, n - r) > cap.bit_length()):
+        raise SearchCapExceeded(f"C({n},{r}) exceeds the cap of {cap} edges")
     num_edges = comb(n, r)
     if num_edges > cap:
         raise SearchCapExceeded(
             f"C({n},{r}) = {num_edges} exceeds the cap of {cap} edges "
             f"(2^{num_edges} initial graphs)"
         )
+    if r == n:  # one edge and no (r+1)-tuple: nothing fires, so build neither
+        return BruteForceResult(max_t=0, witness=Hypergraph.from_edges(n, r, []), searched=2)
     c = min(_CHUNK_BITS, num_edges)
     chunks = 1 << (num_edges - c)
-    bounds = [chunks * i // jobs for i in range(jobs + 1)]
-    ranges = [
-        (r, n, c, bounds[i], bounds[i + 1])
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
-    workers = min(len(ranges), os.cpu_count() or 1)
+    jobs = min(jobs, chunks)  # every range below is then non-empty
+    ranges = [(r, n, c, chunks * i // jobs, chunks * (i + 1) // jobs) for i in range(jobs)]
+    workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         results = [_scan_chunks(span) for span in ranges]
     else:

@@ -14,7 +14,6 @@ from bootperc import (
     SequentialCertificate,
     build_base,
     engine,
-    facets,
     run_fast,
     run_naive,
     step,
@@ -193,7 +192,7 @@ def reference_check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]
     best = 0
     witness: tuple[int, ...] | None = None
     for t in _tuples_meeting(g):
-        count = sum(1 for f in facets(t) if f in g)
+        count = sum(1 for f in itertools.combinations(t, g.r) if f in g)
         if count > best:
             best, witness = count, t
     return best, witness
@@ -202,7 +201,7 @@ def reference_check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]
 def reference_clique_census(g: Hypergraph) -> frozenset[tuple[int, ...]]:
     """Reference census: the meeting tuples whose facets all lie in the graph."""
     return frozenset(
-        t for t in _tuples_meeting(g) if all(f in g for f in facets(t))
+        t for t in _tuples_meeting(g) if all(f in g for f in itertools.combinations(t, g.r))
     )
 
 

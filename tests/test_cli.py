@@ -205,6 +205,18 @@ class TestVerify:
         corrupt_sequence_entry(base_cert_file, 5, (0, 1, 9))  # already in the graph
         assert main(["verify", "--in", str(base_cert_file)]) == 2
 
+    def test_wrong_predicted_t_names_the_steps(self, tmp_path, capsys):
+        path = tmp_path / "full32.cert.json"
+        assert main(["build", "--r", "3", "--k", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        assert data["predicted_t"] == 40 and len(data["sequence"]) == 41
+        path.write_text(json.dumps({**data, "predicted_t": 41}))
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: certificate: predicted_t = 41 but the sequence has 40 steps after the ignition\n"
+        )
+
     def test_padded_vertex_set_needs_no_sweep(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "padded.cert.json"
         path.write_text(emit_certificate(CertificateDocument(padded_base(800))))
@@ -413,11 +425,14 @@ class TestPlumbing:
 READERS = [["run", "--engine", "fast"], ["run", "--engine", "naive"], ["verify"]]
 
 
-def assert_bounded_exit(argv, capsys) -> int:
-    """Run ``main`` for at most 2 s: an exit code of 0-3 and at most one ``error:`` line."""
+def assert_bounded_exit(argv, capsys, warns=False) -> int:
+    """Run ``main`` for at most 2 s: an exit code of 0-3 and at most one ``error:`` line,
+    besides any ``warning:`` lines when ``warns``."""
     with deadline(2):
         code = main(argv)
     err = capsys.readouterr().err
+    if warns:
+        err = "".join(line for line in err.splitlines(True) if not line.startswith("warning: "))
     assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in err
     assert err == "" or (err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"))
@@ -498,3 +513,33 @@ class TestReaderFuzz:
         path.write_text(mutated_certificate(data.draw))
         for reader in READERS:
             assert_bounded_exit([*reader, "--in", str(path)], capsys)
+
+
+HUGE = str(10**18)
+WIDE = "1" + "0" * 3000  # under int()'s 4,300-digit limit, so argparse takes it
+HOSTILE_INTS = ["-5", "0", HUGE, WIDE]
+
+
+def short_id(value: str) -> str | None:
+    return "wide" if value == WIDE else None
+
+
+class TestArgumentFuzz:
+    """Huge, negative and zero arguments to bounds and brute end within 2 s, one line at most."""
+
+    @pytest.mark.parametrize("r", [*HOSTILE_INTS, "3", "40"], ids=short_id)
+    def test_bounds(self, r, capsys):
+        for n in [*HOSTILE_INTS, "18"]:
+            assert assert_bounded_exit(["bounds", "--r", r, "--n", n], capsys, warns=True) in (0, 2)
+
+    @pytest.mark.parametrize(
+        "r, n",
+        [*((r, n) for r in [*HOSTILE_INTS, "2", "3"] for n in [*HOSTILE_INTS, "4", "5"]),
+         ("50000000", "100000000"), ("3000000", "3000000")],
+        ids=short_id,
+    )
+    def test_brute(self, r, n, capsys):
+        # at most C(5, 2) = 10 edges get past the cap: one chunk, so a huge --jobs starts no pool
+        for jobs in ["-3", "0", "1", HUGE]:
+            argv = ["brute", "--r", r, "--n", n, "--jobs", jobs]
+            assert assert_bounded_exit(argv, capsys) in (0, 2, 3)

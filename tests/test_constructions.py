@@ -97,7 +97,7 @@ class TestPredictedBaseEdge:
 
 class TestGlue:
     def test_shape_k2(self):
-        glued = glue(build_base(2), 2)
+        glued = glue(build_base(2))
         assert glued.graph.n == 15
         assert glued.predicted_t == 3 * 12 + 4 == 40
         assert glued.apex is None
@@ -106,7 +106,7 @@ class TestGlue:
 
     def test_sequence_length_identity(self):
         for k in (2, 3):
-            glued = glue(build_base(k), k)
+            glued = glue(build_base(k))
             t1 = base_running_time(k)
             assert len(glued.sequence) == (2 * k - 1) * (t1 + 1) + 2 * k - 2
 
@@ -114,7 +114,7 @@ class TestGlue:
     def test_first_bridge_gadget_exact(self, k):
         # the edges within {v^1_{2k-1}, v^2_{2k-1}, v^3_1, v^3_2, v^3_3} are the
         # four bridge edges pairing each stub vertex with two consecutive new ones
-        glued = glue(build_base(k), k)
+        glued = glue(build_base(k))
         a, b = vid(1, 2 * k - 1, k), vid(2, 2 * k - 1, k)
         t1, t2, t3 = (vid(3, j, k) for j in (1, 2, 3))
         inside = {e for e in glued.graph if set(e) <= {a, b, t1, t2, t3}}
@@ -126,7 +126,7 @@ class TestGlue:
         # no edge joins two top-layer vertices two apart, none swallows a whole stub
         for k in (2, 3):
             cert = build_base(k)
-            glued = glue(cert, k)
+            glued = glue(cert)
             first_stub = set(cert.ignition) - {cert.apex}
             last_stub = set(cert.sequence[-1]) - {cert.apex}
             w = layer_width(k)
@@ -146,22 +146,27 @@ class TestGlue:
                     assert e == cert.ignition or not any(t in es for t in top[1::2])
 
     def test_requires_apex(self):
-        glued = glue(build_base(2), 2)
+        glued = glue(build_base(2))
         with pytest.raises(CertificateError):
-            glue(glued, 2)
+            glue(glued)
 
-    def test_requires_matching_k(self):
-        with pytest.raises(ValueError):
-            glue(build_base(2), 3)
+    def test_requires_two_steps(self):
+        # k = 1: the layout n = r, apex r - 1 leaves one r-subset, the ignition, so T = 0
+        g = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
+        one = constructions.SequentialCertificate(
+            graph=g, ignition=(0, 1, 2), sequence=((0, 1, 2),), r=3, k=1, predicted_t=0, apex=2
+        )
+        with pytest.raises(CertificateError, match="at least 2 steps"):
+            glue(one)
 
-    def test_requires_k_at_least_two(self):
-        with pytest.raises(ValueError):
-            glue(build_base(2), 1)
+    def test_requires_the_layout_of_k(self):
+        with pytest.raises(CertificateError, match="full layers plus a single apex"):
+            glue(dataclasses.replace(build_base(2), k=3))
 
 
 class TestLift:
     def test_shape(self):
-        glued = glue(build_base(2), 2)
+        glued = glue(build_base(2))
         lifted = lift(glued)
         assert lifted.graph.n == 16
         assert lifted.r == 4
@@ -170,7 +175,7 @@ class TestLift:
         assert lifted.apex == 15
 
     def test_sequence_gains_apex(self):
-        glued = glue(build_base(2), 2)
+        glued = glue(build_base(2))
         lifted = lift(glued)
         assert lifted.sequence[0] == glued.ignition + (15,)
         assert all(15 in e for e in lifted.sequence)
@@ -179,6 +184,10 @@ class TestLift:
     def test_rejects_apexed_certificate(self):
         with pytest.raises(CertificateError):
             lift(build_base(2))
+
+    def test_requires_the_layout_of_k(self):
+        with pytest.raises(CertificateError, match="full layers"):
+            lift(dataclasses.replace(build_full(3, 2), k=3))
 
 
 class TestBuildFull:
@@ -198,7 +207,7 @@ class TestBuildFull:
             build_full(3, 1)
 
     def test_three_uniform_full_is_glued_base(self):
-        assert build_full(3, 2) == glue(build_base(2), 2)
+        assert build_full(3, 2) == glue(build_base(2))
 
 
 class TestTheoremBounds:
@@ -255,6 +264,10 @@ class TestWitnessForN:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             witness_for_n(3, 15)
+
+    def test_rejects_small_r(self):
+        with pytest.raises(ValueError, match="r must be >= 3"):
+            witness_for_n(2, 50)
 
 
 class TestCertificateValidation:
@@ -319,6 +332,22 @@ class TestCertificateValidation:
                 apex=cert.apex,
             )
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda c: {"r": 4}, "graph uniformity 3 != r = 4"),
+            (lambda c: {"sequence": ()}, "empty sequence"),
+            (lambda c: {"sequence": c.sequence + c.sequence[1:2], "predicted_t": 13},
+             "not pairwise distinct"),
+            (lambda c: {"apex": c.graph.n}, "apex 11 out of range"),
+        ],
+        ids=["uniformity", "empty", "repeated-edge", "apex-range"],
+    )
+    def test_structural_faults(self, change, message):
+        cert = build_base(2)
+        with pytest.raises(CertificateError, match=message):
+            dataclasses.replace(cert, **change(cert))
+
     def test_apex_must_hit_every_sequence_edge(self):
         cert = build_base(2)
         with pytest.raises(CertificateError):
@@ -357,7 +386,7 @@ def stages(r, k):
     """Every certificate ``build_full(r, k)`` passes through, the seed first."""
     out = [build_base(k)]
     for rho in range(3, r + 1):
-        out.append(glue(out[-1], k))
+        out.append(glue(out[-1]))
         if rho < r:
             out.append(lift(out[-1]))
     return out

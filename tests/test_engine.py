@@ -12,7 +12,6 @@ from bootperc import (
     InfectionTrace,
     TupleBudgetExceeded,
     build_base,
-    is_stationary,
     predicted_base_edge,
     run_fast,
     run_naive,
@@ -73,15 +72,15 @@ class TestStep:
 
 class TestIsStationary:
     def test_empty(self):
-        assert is_stationary(Hypergraph(n=5, r=3, edges=frozenset()))
+        assert not step(Hypergraph(n=5, r=3, edges=frozenset()))
 
     def test_near_complete(self):
         g, _ = near_complete(4, 3)
-        assert not is_stationary(g)
+        assert step(g)
 
     def test_base_without_ignition(self):
         cert = build_base(3)
-        assert is_stationary(cert.graph.without(cert.ignition))
+        assert not step(cert.graph.without(cert.ignition))
 
 
 class TestRunNaive:
@@ -204,7 +203,7 @@ class TestRunFast:
     def test_trace_steps_start_at_one(self):
         g, missing = near_complete(4, 3)
         res = run_fast(g)
-        assert res.step_map() == {missing: 1}
+        assert res.trace.step_map() == {missing: 1}
 
 
 @st.composite
@@ -369,8 +368,8 @@ class TestProcessProperties:
             g = random_hypergraph(rng, n, 3, rng.uniform(0.3, 0.8))
             res = run_naive(g)
             steps = {e: 0 for e in g.edges}
-            steps.update(res.step_map())
-            for e, s in res.step_map().items():
+            steps.update(res.trace.step_map())
+            for e, s in res.trace.step_map().items():
                 witnesses = []
                 for t in supersets(e, n, 4):
                     others = [f for f in

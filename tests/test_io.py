@@ -96,7 +96,7 @@ def base_3_graph_labelled() -> str:
 
 GOLDEN_DIGESTS = [
     (full_4_2_labelled, "6eeffa7fb031ad6aa1e32b1c7e5046d3240d34ad5202e090afcbdd1f994bde22"),
-    (lambda: emit_certificate(glue(build_base(3), 3)),
+    (lambda: emit_certificate(glue(build_base(3))),
      "187281ff510695a887b0dbbd266a946c344d0ddc3a194a0387fd5a791f0471e8"),
     (base_3_graph_labelled, "d6f0250d96be4bfb607cd01b9828b99796644dae9cbcdd2c95836cc3148fec5f"),
 ]
@@ -171,9 +171,9 @@ class TestCertificateRoundTrip:
 def full_4_2_stages():
     """Every certificate ``build_full(4, 2)`` passes through: base, glue, lift, glue."""
     base = build_base(2)
-    glued = glue(base, 2)
+    glued = glue(base)
     lifted = lift(glued)
-    return base, glued, lifted, glue(lifted, 2)
+    return base, glued, lifted, glue(lifted)
 
 
 def drawn_labels(n: int):
@@ -283,6 +283,12 @@ class TestParseErrors:
 
     def test_unknown_field(self):
         self.assert_code(rewrite(k34_doc(), lambda d: d.update(extra=1)), "schema")
+
+    def test_edges_must_be_a_list(self):
+        text = rewrite(k34_doc(), lambda d: d.update(edges={"0": [0, 1, 2]}))
+        with pytest.raises(DocumentError, match="field 'edges' must be a list"):
+            parse_graph(text)
+        self.assert_code(text, "schema")
 
     def test_arity_mismatch(self):
         self.assert_code(

@@ -295,6 +295,22 @@ class TestBruteForce:
         with pytest.raises(SearchCapExceeded):
             brute_force_max_time(3, 5, cap=0)
 
+    @pytest.mark.parametrize(
+        "r, n, jobs, message",
+        [(1, 5, 1, "r must be >= 2"), (3, 2, 1, "n must be >= r"), (3, 5, 0, "jobs must be >= 1")],
+    )
+    def test_invalid_arguments(self, r, n, jobs, message):
+        with pytest.raises(ValueError, match=message) as info:
+            brute_force_max_time(r, n, jobs=jobs)
+        assert not isinstance(info.value, SearchCapExceeded)
+
+    def test_one_edge_is_answered_without_a_scan(self, monkeypatch):
+        # r = n: both masks of the one edge have T = 0, as a scan of them finds
+        assert verify._scan_chunks((4, 4, 1, 0, 1)) == (0, 0)
+        monkeypatch.setattr(verify, "_scan_chunks", None)
+        result = brute_force_max_time(4, 4, jobs=8)
+        assert (result.max_t, len(result.witness), result.searched) == (0, 0, 2)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_graph_process_squares(self, n):
         # r = 2: each step adds every pair at distance 2, so G_t = G^(2^t) and
