@@ -43,7 +43,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.stage == "base":
         cert = constructions.build_base(args.k)
     elif args.stage == "glued":
-        cert = constructions.glue(constructions.build_base(args.k))
+        cert = constructions.build_full(3, args.k)
     else:
         cert = constructions.build_full(args.r, args.k)
     g = cert.graph

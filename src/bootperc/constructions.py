@@ -155,30 +155,18 @@ def _scaffold_edges(k: int) -> set[Edge]:
     Four families per stage i: a left path vertex fanning over
     consecutive second-path pairs, consecutive first-path pairs meeting
     a fixed right vertex, and the mirrored pair of families two indices
-    further in.  Families are pairwise disjoint by construction.
+    further in.  Families are pairwise disjoint by construction: anchors
+    of stages i and i' could meet only if i + i' >= 2k - 1.
     """
-    families: list[list[Edge]] = []
+    out: set[Edge] = set()
     for i in range(1, k):
         lo, hi = 2 * i - 1, 4 * k - 2 - 2 * i
-        families.append(
-            [(_vid(1, lo, k), _vid(2, j, k), _vid(2, j + 1, k))
-             for j in range(lo, hi + 1)]
-        )
-        families.append(
-            [(_vid(1, j, k), _vid(1, j + 1, k), _vid(2, hi + 1, k))
-             for j in range(lo, hi + 1)]
-        )
-        families.append(
-            [(_vid(1, hi + 1, k), _vid(2, j, k), _vid(2, j + 1, k))
-             for j in range(lo + 2, hi + 1)]
-        )
-        families.append(
-            [(_vid(1, j, k), _vid(1, j + 1, k), _vid(2, lo + 2, k))
-             for j in range(lo + 2, hi + 1)]
-        )
-    flat = [e for fam in families for e in fam]
-    out = set(flat)
-    assert len(out) == len(flat), "scaffold families must be pairwise disjoint"
+        for j in range(lo, hi + 1):
+            out.add((_vid(1, lo, k), _vid(2, j, k), _vid(2, j + 1, k)))
+            out.add((_vid(1, j, k), _vid(1, j + 1, k), _vid(2, hi + 1, k)))
+        for j in range(lo + 2, hi + 1):
+            out.add((_vid(1, hi + 1, k), _vid(2, j, k), _vid(2, j + 1, k)))
+            out.add((_vid(1, j, k), _vid(1, j + 1, k), _vid(2, lo + 2, k)))
     return out
 
 
@@ -385,12 +373,9 @@ def theorem_bounds(r: int, n: int) -> Bounds:
             stacklevel=2,
         )
     lower = Fraction(n**r, 2 ** (r + 3) * r**r)
-    upper_exact = comb(n, r)
-    if n >= 2 * r * r and not lower <= upper_exact:
-        raise AssertionError("lower bound exceeds the trivial cap")
     return Bounds(
         lower=lower,
-        upper_exact=upper_exact,
+        upper_exact=comb(n, r),
         upper_analytic=(n * EULER_E / r) ** r,
         k_of_n=k_for_n(r, n),
     )

@@ -297,15 +297,22 @@ class _LinkState:
         return bits + [b], keys + new, vals + [self.link.get(x, 0) for x in new]
 
     def _count(self, bits: list[int], keys: list[int], vals: list[int], cand: int, k: int) -> int:
-        """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A."""
+        """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A.
+
+        A free candidate, one outside ``covered``, lies in no infected facet,
+        so only covered candidates are branched on, least first: A avoids
+        them in comb(|free|, k) ways, or its least covered vertex b joins U
+        and the other k - 1 come from the candidates above b and the free ones.
+        """
         for v in vals:
             cand &= ~v
-        if k == 1 or not cand & self.covered:  # no infected facet can meet A: any k count
-            return comb(cand.bit_count(), k)
-        later = _bits(cand)
-        return sum(  # a first added vertex needs k - 1 candidates above it
-            self._count(*self._grow(bits, keys, vals, b), cand & -(b << 1), k - 1)
-            for b in later[: max(len(later) - k + 1, 0)]
+        if k == 1:
+            return cand.bit_count()
+        free = cand & ~self.covered
+        later = _bits(cand & self.covered)
+        return comb(free.bit_count(), k) + sum(  # b needs k - 1 others above it or free
+            self._count(*self._grow(bits, keys, vals, b), (cand & -(b << 1)) | free, k - 1)
+            for b in later[: max(len(later) + free.bit_count() - k + 1, 0)]
         )
 
     def _fire(

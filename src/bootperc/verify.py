@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
 from .constructions import SequentialCertificate
-from .core import Edge, Hypergraph, supersets
-from .engine import _budget, _LinkState, _mask, _naive_generations
+from .core import Edge, Hypergraph
+from .engine import _bits, _budget, _LinkState, _mask, _naive_generations, _vertices
 
 __all__ = [
     "VerificationReport",
@@ -79,12 +78,9 @@ def _compare_to_sequence(
     trace_steps: list[frozenset[Edge]], expected: Sequence[Edge]
 ) -> Divergence | None:
     """First step where the trace differs from one-edge-per-step expectations."""
-    for s in range(1, max(len(trace_steps), len(expected)) + 1):
-        actual = trace_steps[s - 1] if s <= len(trace_steps) else frozenset()
-        want = frozenset({expected[s - 1]}) if s <= len(expected) else frozenset()
-        if actual != want:
-            return (s, want, actual)
-    return None
+    wanted = (frozenset({e}) for e in expected)
+    pairs = enumerate(itertools.zip_longest(trace_steps, wanted, fillvalue=frozenset()), 1)
+    return next(((s, want, actual) for s, (actual, want) in pairs if actual != want), None)
 
 
 def verify_sequential(
@@ -139,25 +135,56 @@ def verify_sequential(
     )
 
 
-def _facet_counts(g: Hypergraph) -> Counter[tuple[int, ...]]:
-    """Infected-facet count of every (r+1)-tuple meeting the graph."""
-    return Counter(t for e in g.edges for t in supersets(e, g.n, g.r + 1))
+def _edge_planes(g: Hypergraph) -> Iterator[tuple[int, list[int]]]:
+    """Each edge's vertex mask f with the link planes of its (r-1)-subsets.
+
+    The plane of an (r-1)-set S has bit v set when S | {v} is an edge; the
+    graph's planes are built once, and a tuple f | {v} with v outside f
+    spans one facet for f and one for each plane of f that holds v.
+    """
+    masks = [_mask(e) for e in g.edges]
+    link: dict[int, int] = {}
+    for f in masks:
+        for b in _bits(f):
+            link[f ^ b] = link.get(f ^ b, 0) | b
+    for f in masks:
+        yield f, [link[f ^ b] for b in _bits(f)]
 
 
 def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:
     """Maximum spanned-facet count over (r+1)-tuples meeting the graph.
 
     Returns the maximum together with the lexicographically smallest
-    witness tuple attaining it (None on an empty graph).
+    witness tuple attaining it (None on an empty graph).  Per edge f,
+    ``levels[j]`` holds the vertices outside f in at least j of its
+    planes, so the top non-empty level gives f's largest count and its
+    lowest vertex the smallest tuple through f that attains it.
     """
-    counts = _facet_counts(g)
-    best = max(counts.values(), default=0)
-    return best, min((t for t, count in counts.items() if count == best), default=None)
+    full, best = (1 << g.n) - 1, (0, None)
+    for f, planes in _edge_planes(g):
+        levels = [full & ~f] + [0] * len(planes)
+        for p in planes:
+            for j in range(len(planes), 0, -1):
+                levels[j] |= levels[j - 1] & p
+        top = sum(map(bool, levels))  # the levels nest, so the non-empty ones come first
+        if top:  # 0 only when no vertex lies outside f, at n = r
+            best = min(best, (-top, _vertices(f | levels[top - 1] & -levels[top - 1])))
+    return -best[0], best[1]
 
 
 def clique_census(g: Hypergraph) -> frozenset[tuple[int, ...]]:
-    """All (r+1)-tuples whose r+1 facets all lie in the graph."""
-    return frozenset(t for t, count in _facet_counts(g).items() if count == g.r + 1)
+    """All (r+1)-tuples whose r+1 facets all lie in the graph.
+
+    Each is found once, from its facet f without its largest vertex v:
+    v lies above f and in every plane of f.
+    """
+    cliques = set()
+    for f, planes in _edge_planes(g):
+        above = -(1 << f.bit_length())
+        for p in planes:
+            above &= p
+        cliques.update(_vertices(f | b) for b in _bits(above))
+    return frozenset(cliques)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ class TestBuildBase:
 
     def test_edge_count_closed_form(self):
         # scaffold size equals the running time; strip contributes 2(4k-4)
+        for k in range(2, 31):
+            assert len(constructions._scaffold_edges(k)) == base_running_time(k)
         for k in range(2, 6):
             cert = build_base(k)
             assert len(cert.graph) == base_running_time(k) + (8 * k - 8) + 1
@@ -240,6 +242,27 @@ class TestTheoremBounds:
             b = theorem_bounds(r, n)
             assert b.lower <= b.upper_exact
             assert float(b.lower) <= b.upper_analytic
+
+    def test_lower_bound_below_trivial_cap_past_threshold(self):
+        for r in range(3, 13):
+            for n in range(2 * r * r, 2 * r * r + 101):
+                assert theorem_bounds(r, n).lower <= comb(n, r)
+
+    def test_full_construction_runs_theta_n_to_the_r(self):
+        # the paper's claims: T = Theta(n^r) with prefactor r^(-r) e^(O(r)); T r^r / n^r
+        # falls in k toward (2k)^(r-2) 8k^2 r^r / (4rk)^r = 2^(1-r)
+        for r in range(3, 13):
+            ratios = []
+            for k in range(2, 51):
+                n, t = r * (4 * k - 3), full_running_time(r, k)
+                assert t <= comb(n, r)
+                if n >= 2 * r * r:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        assert theorem_bounds(r, n).lower <= t
+                ratios.append(Fraction(t * r**r, n**r))
+            assert all(a > b for a, b in zip(ratios, ratios[1:]))
+            assert ratios[-1] > Fraction(2, 2**r)
 
     def test_k_for_n_matches_exact_rational_floor(self):
         for r in (3, 4, 5):

@@ -22,6 +22,7 @@ from bootperc.engine import _naive_generations
 
 from helpers import (
     count_supersets,
+    deadline,
     forbid_revalidation,
     iterate_step,
     random_hypergraph,
@@ -204,6 +205,26 @@ class TestRunFast:
         g, missing = near_complete(4, 3)
         res = run_fast(g)
         assert res.trace.step_map() == {missing: 1}
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 39), (1, 38)],
+        [(0, 1), (2, 3), (37, 38), (38, 39)],
+    ], ids=["two-edges", "four-edges"])
+    def test_free_candidates_are_counted_not_branched_on(self, edges):
+        # branching on every candidate took 0.5-1 s on each of these graphs
+        g = Hypergraph.from_edges(40, 2, edges)
+        with deadline(0.5):
+            assert run_fast(g, m=36).running_time == 0
+
+    def test_budget_is_exact_with_free_candidates(self):
+        # each edge meets C(38, 34) tuples, C(36, 32) of them both
+        g = Hypergraph.from_edges(40, 2, [(0, 39), (1, 38)])
+        touched = 2 * comb(38, 34) - comb(36, 32)
+        assert touched == 88725
+        with deadline(0.5):
+            assert run_fast(g, m=36, max_tuples=touched).running_time == 0
+            with pytest.raises(TupleBudgetExceeded):
+                run_fast(g, m=36, max_tuples=touched - 1)
 
 
 @st.composite
@@ -455,3 +476,17 @@ class TestTraceTypes:
             tr.at(0)
         with pytest.raises(IndexError):
             tr.at(2)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_k4_process_runs_at_most_n_minus_3_steps(n):
+    # the K_4 graph process (r = 2, m = 4) has maximum running time n - 3: Bollobas,
+    # Przykucki, Riordan and Sahasrabudhe, Electron. J. Combin. 2017
+    edges = list(itertools.combinations(range(n), 2))
+    longest = 0
+    for mask in range(1 << len(edges)):
+        g = Hypergraph.from_edges(n, 2, [e for i, e in enumerate(edges) if mask >> i & 1])
+        fast = run_fast(g, m=4)
+        assert run_naive(g, m=4) == fast
+        longest = max(longest, fast.running_time)
+    assert longest == n - 3

@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,18 @@ class TestCheckDensity:
         density, witness = check_density(g)
         assert density == 1
         assert witness == (0, 1, 2, 3)
+
+    def test_memory_stays_with_the_link_planes(self):
+        # a Counter of every (r+1)-tuple meeting the graph peaked at 28.3 MB here
+        cert = build_base(15)
+        g = cert.graph.without(cert.ignition)
+        tracemalloc.start()
+        try:
+            assert check_density(g)[0] == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10**6
 
 
 class TestCliqueCensus:
