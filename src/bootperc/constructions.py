@@ -27,7 +27,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, e as EULER_E
+from math import comb, e as EULER_E, isqrt
 
 from .core import Edge, Hypergraph, VertexLabel, _is_int, label_to_id, layer_width, make_edge
 
@@ -123,6 +123,12 @@ def _stage_total(s: int, k: int) -> int:
     return s * (16 * k - 8 * s - 12)
 
 
+def _stage(k: int, i: int) -> int:
+    """Least s >= 1 with i <= _stage_total(s, k), from the lower root of 8s^2 - (16k-12)s + i."""
+    s = max(((4 * k - 3) - isqrt((4 * k - 3) ** 2 - 2 * i)) // 4, 1)  # at most one stage short
+    return s + 1 if i > _stage_total(s, k) else s
+
+
 def predicted_base_edge(k: int, i: int) -> Edge:
     """Closed form for the edge infected at step i when replaying the seed graph.
 
@@ -133,9 +139,7 @@ def predicted_base_edge(k: int, i: int) -> Edge:
     t1 = base_running_time(k)
     if not 1 <= i <= t1:
         raise ValueError(f"step index must be in [1, {t1}], got {i}")
-    s = 1
-    while i > _stage_total(s, k):
-        s += 1
+    s = _stage(k, i)
     offset = i - _stage_total(s - 1, k)
     q = k - s
     if offset <= 4 * q:

@@ -20,19 +20,17 @@ Two engines produce identical per-step traces:
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
   big-int ANDs decide every tuple through a frontier edge at once.  A
   level gathers the vertices it fires per (r-1)-set and lists each
-  set's bits once, and its edges enter the next level as masks.
+  set's bits once.  The seed graph is streamed twice, into the masks
+  and as the first level; only a generation's new edges are listed.
 
-``verify`` recounts and cross-checks with ``_naive_generations`` and
-replays several starts from one seeded ``_LinkState`` (``add``, ``fire``,
-``copy``).  ``_budget`` refuses, for both engines, a graph one of whose
-edges alone meets more m-tuples than the cap.  Past a cap both raise
-TupleBudgetExceeded("more than N distinct m-tuples meet the infected
-graph"), naming no option: the CLI adds which one to change.
-
-The two share no update code: :func:`run_naive` recounts, :func:`run_fast`
-reads link masks.  :func:`step` is the definitional single-generation
-sweep of ``_recount`` over all C(n, m) tuples; it is the slow reference
-the other two are tested against.
+The two share no update code.  :func:`step`, the definitional sweep of
+``_recount`` over all C(n, m) tuples, is the slow reference both are
+tested against.  ``verify`` recounts with ``_naive_generations`` and
+replays several starts from one seeded ``_LinkState``.  ``_budget``
+refuses, for both engines, a graph one of whose edges alone meets more
+m-tuples than the cap.  Past a cap both raise TupleBudgetExceeded("more
+than N distinct m-tuples meet the infected graph"), naming no option:
+the CLI adds which one to change.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TUPLES = 10**8
+_Level = Iterable[tuple[list[int], list[int]]]  # per edge: its vertex bits, its (r-1)-subset masks
 
 
 class TupleBudgetExceeded(RuntimeError):
@@ -174,14 +173,10 @@ def _naive_generations(
 
 
 def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
-    """Iterate synchronous generations until stationary.
+    """Iterate synchronous generations until stationary, recounting the cheapest side each time.
 
-    Each generation recounts against the current edge set whichever has
-    the fewest tuples: the m-tuples through the previous generation's
-    newly infected edges (all of g0 for the first), those through the
-    uninfected edges, or all C(n, m) tuples.  A graph is refused as
-    :func:`run_fast` refuses it under the default cap: when one edge alone
-    meets more than DEFAULT_MAX_TUPLES m-tuples.
+    The first side is all of g0.  A graph is refused as :func:`run_fast` refuses it under the
+    default cap: when one edge alone meets more than DEFAULT_MAX_TUPLES m-tuples.
     """
     m = _check_m(g0, m)
     _budget(g0, m, None)
@@ -203,12 +198,12 @@ def _vertices(x: int) -> Edge:
     return tuple(b.bit_length() - 1 for b in _bits(x))
 
 
-def _mask(e: Edge) -> int:
-    """The vertex bitmask of an edge."""
-    f = 0
-    for v in e:
-        f |= 1 << v
-    return f
+def _level(edges: Iterable[Edge]) -> _Level:
+    """Each edge's vertices as single-bit ints, lowest first, and its (r-1)-subsets as masks."""
+    for e in edges:
+        bits = [1 << v for v in e]
+        f = sum(bits)
+        yield bits, [f ^ b for b in bits]
 
 
 def _over_budget(budget: int) -> TupleBudgetExceeded:
@@ -229,8 +224,10 @@ def _budget(g: Hypergraph, m: int, max_tuples: int | None) -> int:
 class _LinkState:
     """Link masks of an infected graph that grows one level at a time.
 
-    Edges are vertex bitmasks in and out, and ``link[S]``, for an (r-1)-set S,
-    has bit v set when S | {v} is infected.  The m-tuples through an edge
+    ``link[S]``, for an (r-1)-set S, has bit v set when S | {v} is
+    infected.  A level gives each edge as ``(bits, keys)`` from
+    :func:`_level`; a seed graph streams its ``_level`` to :meth:`add`
+    and again to the first :meth:`fire`.  The m-tuples through an edge
     e are e plus m - r added vertices, taken in ascending order.  With U
     the edge and the vertices added so far, the facets a next vertex v
     brings are S | {v} for the (r-1)-subsets S of U, so the planes
@@ -255,40 +252,42 @@ class _LinkState:
         other.link = dict(self.link)
         return other
 
-    def add(self, edges: Iterable[int]) -> list[tuple[list[int], list[int]]]:
-        """Count the tuples each edge newly meets and enter it in ``link``; return their level."""
-        link, full, k = self.link, self.full, self.m - self.r
-        level = []
-        for f in edges:
-            bits = _bits(f)
-            keys = [f ^ b for b in bits]
+    def add(self, level: _Level) -> None:
+        """Count the tuples each edge of ``level`` newly meets and enter it in ``link``."""
+        link, full, k, count = self.link, self.full, self.m - self.r, self._count
+        for bits, keys in level:
+            f = sum(bits)
             vals = [link.get(x, 0) for x in keys]
-            self.touched += self._count(bits, keys, vals, full & ~f, k)
+            self.touched += count(bits, keys, vals, full & ~f, k)
             if self.touched > self.budget:
                 raise _over_budget(self.budget)
             for b, x, v in zip(bits, keys, vals):
                 link[x] = v | b
             self.covered |= f
-            level.append((bits, keys))
-        return level
 
-    def fire(self, level: list) -> set[int]:
-        """The uninfected facets that m-tuples through the edges of ``level`` fire.
+    def fire(self, level: _Level) -> dict[Edge, tuple[list[int], list[int]]]:
+        """The next level, keyed by edge: the uninfected facets m-tuples through ``level`` fire.
 
-        ``new[S]`` gathers each v with S | {v} fired; its bits are listed once, at the end.
-        """
+        ``level`` is in ``link``.  ``new[S]`` gathers each v with S | {v} fired; one facet
+        can be gathered under several S, so its mask is kept once before it is converted."""
         link, full, k, fire = self.link, self.full, self.m - self.r, self._fire
         new: dict[int, int] = {}
         for bits, keys in level:
-            fire(bits, keys, [link.get(x, 0) for x in keys], full & ~sum(bits), k, None, new)
-        return {key | b for key, plane in new.items() for b in _bits(plane)}
+            fire(bits, keys, [link[x] for x in keys], full & ~sum(bits), k, None, new)
+        fired = {}
+        for f in {key | b for key, plane in new.items() for b in _bits(plane)}:
+            bits = _bits(f)
+            fired[tuple(x.bit_length() - 1 for x in bits)] = bits, [f ^ x for x in bits]
+        return fired
 
-    def run(self, level: list) -> list[frozenset[Edge]]:
-        """Steps fired from ``level`` on; each enters ``link`` after its level fires."""
-        steps = []
+    def run(self, edges: Collection[Edge], first: Iterable[Edge] = ()) -> list[frozenset[Edge]]:
+        """Add ``edges``; fire levels from them and ``first`` (in ``link``) until one is empty."""
+        self.add(_level(edges))
+        steps, level = [], _level(itertools.chain(first, edges))
         while new := self.fire(level):
-            steps.append(frozenset(map(_vertices, new)))
-            level = self.add(new)
+            steps.append(frozenset(new))
+            level = new.values()
+            self.add(level)
         return steps
 
     def _grow(self, bits: list[int], keys: list[int], vals: list[int], b: int) -> tuple:
@@ -372,7 +371,5 @@ def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None
     """
     m = _check_m(g0, m)
     budget = _budget(g0, m, max_tuples)
-    if not g0.edges:
-        return _result(g0, [])
-    state = _LinkState(g0.n, g0.r, m, budget)
-    return _result(g0, state.run(state.add(map(_mask, g0.edges))))
+    # no state for an empty graph: its mask of n bits is never built
+    return _result(g0, _LinkState(g0.n, g0.r, m, budget).run(g0.edges) if g0.edges else [])

@@ -26,7 +26,7 @@ from math import comb
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph
-from .engine import _bits, _budget, _LinkState, _mask, _naive_generations, _vertices
+from .engine import _bits, _budget, _level, _LinkState, _naive_generations, _vertices
 
 __all__ = [
     "VerificationReport",
@@ -108,22 +108,21 @@ def verify_sequential(
     n, r = g.n, g.r
     h = g.without(cert.ignition)
     seed = _LinkState(n, r, r + 1, _budget(g, r + 1, max_tuples))
-    h_level = seed.add(map(_mask, h.edges))
-    fired = seed.fire(h_level)
+    seed.add(_level(h.edges))
+    fired = seed.fire(_level(h.edges))
     recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
-    if fired != set(map(_mask, recount)):
+    if fired.keys() != recount:
         raise EngineDisagreement("link state and recount disagree on the headless graph")
-    first = h_level if fired else []  # if H fires, tuples avoiding the added edge fire too
+    first = h.edges if fired else ()  # if H fires, tuples avoiding the added edge fire too
 
-    forward_state = seed.copy()
-    forward = forward_state.run(first + forward_state.add([_mask(cert.ignition)]))
+    forward = seed.copy().run([cert.ignition], first)
     if comb(n, r + 1) <= NAIVE_CROSS_CHECK_LIMIT:
         start = g.edges if fired else [cert.ignition]
         if list(_naive_generations(n, r, r + 1, set(g.edges), start)) != forward:
             raise EngineDisagreement("fast and naive engines diverge on the forward replay")
     divergence = _compare_to_sequence(forward, cert.sequence[1:])
 
-    reverse = seed.run(first + seed.add([_mask(cert.sequence[-1])]))
+    reverse = seed.run([cert.sequence[-1]], first)
     reverse_divergence = _compare_to_sequence(reverse, cert.sequence[:-1][::-1])
     return VerificationReport(
         property_i=divergence is None and len(forward) == cert.predicted_t,
@@ -142,13 +141,12 @@ def _edge_planes(g: Hypergraph) -> Iterator[tuple[int, list[int]]]:
     graph's planes are built once, and a tuple f | {v} with v outside f
     spans one facet for f and one for each plane of f that holds v.
     """
-    masks = [_mask(e) for e in g.edges]
     link: dict[int, int] = {}
-    for f in masks:
-        for b in _bits(f):
-            link[f ^ b] = link.get(f ^ b, 0) | b
-    for f in masks:
-        yield f, [link[f ^ b] for b in _bits(f)]
+    for bits, keys in _level(g.edges):
+        for b, x in zip(bits, keys):
+            link[x] = link.get(x, 0) | b
+    for bits, keys in _level(g.edges):
+        yield sum(bits), [link[x] for x in keys]
 
 
 def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from math import comb
 
@@ -174,7 +175,7 @@ def inject_headless_fire(monkeypatch, edge) -> None:
     def faulty(self, level):
         calls.append(None)
         fired = true_fire(self, level)
-        return fired | {engine._mask(edge)} if len(calls) == 1 else fired
+        return fired | {edge: next(engine._level([edge]))} if len(calls) == 1 else fired
 
     monkeypatch.setattr(engine._LinkState, "fire", faulty)
 
@@ -203,6 +204,15 @@ def reference_clique_census(g: Hypergraph) -> frozenset[tuple[int, ...]]:
     return frozenset(
         t for t in _tuples_meeting(g) if all(f in g for f in itertools.combinations(t, g.r))
     )
+
+
+def peak_traced_bytes(fn):
+    """Call ``fn`` under tracemalloc; return its result and the peak of traced bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class Overran(BaseException):

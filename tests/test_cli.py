@@ -1,6 +1,5 @@
 import json
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +10,7 @@ from bootperc.cli import main
 from bootperc.core import id_to_label
 from bootperc.io import CertificateDocument, emit_certificate, emit_graph
 
-from helpers import deadline, inject_headless_fire, padded_base, refuse_sweep
+from helpers import deadline, inject_headless_fire, padded_base, peak_traced_bytes, refuse_sweep
 
 
 @pytest.fixture()
@@ -149,14 +148,12 @@ class TestRun:
             {"format_version": "1", "r": 2, "n": 10**9, "edges": [[5, 10**9 - 1]]}
         ))
         for engine in ("fast", "naive"):
-            tracemalloc.start()
-            try:
-                start = time.perf_counter()
-                assert main(["run", "--in", str(path), "--engine", engine]) == 3
-                assert time.perf_counter() - start < 1
-                assert tracemalloc.get_traced_memory()[1] < 2**20
-            finally:
-                tracemalloc.stop()
+            argv = ["run", "--in", str(path), "--engine", engine]
+            start = time.perf_counter()
+            code, peak = peak_traced_bytes(lambda: main(argv))
+            assert code == 3
+            assert time.perf_counter() - start < 1
+            assert peak < 2**20
             assert "distinct m-tuples" in capsys.readouterr().err
 
     def test_max_tuples_is_refused_with_the_naive_engine(self, base_cert_file, capsys):

@@ -90,6 +90,15 @@ class TestPredictedBaseEdge:
             seen.add(e)
         assert len(seen) == base_running_time(k)
 
+    def test_closed_form_stage_matches_a_linear_scan(self):
+        for k in range(2, 61):
+            s = 1
+            for i in range(1, base_running_time(k) + 1):
+                while i > s * (16 * k - 8 * s - 12):  # steps completed after stage s
+                    s += 1
+                assert constructions._stage(k, i) == s, (k, i)
+        assert constructions._stage(60, base_running_time(60)) == 59  # discriminant 16
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             predicted_base_edge(2, 0)

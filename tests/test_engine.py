@@ -12,19 +12,22 @@ from bootperc import (
     InfectionTrace,
     TupleBudgetExceeded,
     build_base,
+    build_full,
+    full_running_time,
     predicted_base_edge,
     run_fast,
     run_naive,
     step,
 )
 from bootperc.core import supersets
-from bootperc.engine import _naive_generations
+from bootperc.engine import DEFAULT_MAX_TUPLES, _level, _LinkState, _naive_generations
 
 from helpers import (
     count_supersets,
     deadline,
     forbid_revalidation,
     iterate_step,
+    peak_traced_bytes,
     random_hypergraph,
     reference_naive_generations,
     reference_step,
@@ -194,6 +197,13 @@ class TestRunFast:
         if touched:
             with pytest.raises(TupleBudgetExceeded):
                 run_fast(g, m=m, max_tuples=len(touched) - 1)
+
+    def test_seed_graph_is_streamed_not_kept_as_a_level(self):
+        # a (bits, keys) level kept for every one of its 18,255 edges peaked at 8.5 MB
+        g = build_full(4, 3).graph
+        res, peak = peak_traced_bytes(lambda: run_fast(g))
+        assert res.running_time == full_running_time(4, 3)
+        assert peak < 4 * 10**6
 
     def test_negative_budget_rejected(self):
         g, _ = near_complete(4, 3)
@@ -457,6 +467,26 @@ class TestMetamorphic:
             padded = run_fast(g.padded(g.n + extra), m=m)
             assert padded.running_time == res.running_time
             assert padded.trace == res.trace
+
+    @pytest.mark.parametrize("r, m", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6)])
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_seeding_is_free_of_edge_order_and_batches(self, r, m, data):
+        # a seed is streamed, so neither its edge order nor its split into add calls may matter
+        g = data.draw(small_graphs(r, r, 12))
+        edges = sorted(g.edges)
+        shuffled = data.draw(st.permutations(edges))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(edges)), max_size=3)))
+        split = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(edges)])]
+        seeded = []
+        for batches in ([edges], [shuffled], split):
+            state = _LinkState(g.n, r, m, DEFAULT_MAX_TUPLES)
+            for batch in batches:
+                state.add(_level(batch))
+            first = state.fire(_level(itertools.chain(*batches)))
+            seeded.append((state.link, state.touched, state.covered, first))
+        assert seeded[0] == seeded[1] == seeded[2]
+        assert set(seeded[0][3]) == set(next(iter(run_naive(g, m=m).trace.steps), ()))
 
 
 class TestTraceTypes:

@@ -29,6 +29,7 @@ from bootperc.verify import EngineDisagreement, _chunk_planes, _generations, _tu
 from helpers import (
     inject_headless_fire,
     padded_base,
+    peak_traced_bytes,
     random_hypergraph,
     reference_check_density,
     reference_clique_census,
@@ -180,6 +181,13 @@ class TestSeededReplay:
         inject_headless_fire(monkeypatch, (0, 1, 2))
         with pytest.raises(EngineDisagreement, match="headless graph"):
             verify_sequential(build_base(2))
+
+    def test_headless_seed_is_streamed_not_kept_as_a_level(self):
+        # a (bits, keys) level kept for every edge of H peaked at 11.3 MB
+        cert = build_full(4, 3)
+        report, peak = peak_traced_bytes(lambda: verify_sequential(cert))
+        assert report.all_passed
+        assert peak < 6 * 10**6
 
     def test_padded_vertex_set_needs_no_sweep(self, monkeypatch):
         # C(800, 4) = 1.7e10 tuples; the naive recount visits 20 * 797 instead
