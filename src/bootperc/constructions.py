@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as EULER_E, isqrt
 
-from .core import Edge, Hypergraph, VertexLabel, _is_int, label_to_id, layer_width, make_edge
+from .core import Edge, Hypergraph, _canonical, _is_int, layer_width, make_edge
 
 __all__ = [
     "SequentialCertificate",
@@ -82,11 +82,12 @@ class SequentialCertificate:
             raise CertificateError("ignition edge missing from the graph")
         if len(set(self.sequence)) != len(self.sequence):
             raise CertificateError("sequence edges are not pairwise distinct")
-        for i, edge in enumerate(self.sequence):
-            if make_edge(edge, r=self.r, n=g.n) != edge:
-                raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
-            if i >= 1 and edge in g:
-                raise CertificateError(f"sequence[{i}] already lies in the graph")
+        if not (_canonical(self.sequence, self.r, g.n) and g.edges.isdisjoint(self.sequence[1:])):
+            for i, edge in enumerate(self.sequence):  # names the first bad edge
+                if make_edge(edge, r=self.r, n=g.n) != edge:
+                    raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
+                if i >= 1 and edge in g:
+                    raise CertificateError(f"sequence[{i}] already lies in the graph")
         if not _is_int(self.predicted_t):
             raise CertificateError(f"predicted_t must be an int, got {self.predicted_t!r}")
         if self.predicted_t != len(self.sequence) - 1:
@@ -115,7 +116,8 @@ def full_running_time(r: int, k: int) -> int:
 
 
 def _vid(layer: int, index: int, k: int) -> int:
-    return label_to_id(VertexLabel(layer=layer, index=index), k)
+    """:func:`core.label_to_id` by arithmetic: the generators name only labels in the grid."""
+    return (layer - 1) * (4 * k - 3) + index - 1
 
 
 def _stage_total(s: int, k: int) -> int:
@@ -137,8 +139,8 @@ def predicted_base_edge(k: int, i: int) -> Edge:
     advance, apex-path fan back, second path retreat).
     """
     t1 = base_running_time(k)
-    if not 1 <= i <= t1:
-        raise ValueError(f"step index must be in [1, {t1}], got {i}")
+    if k < 2 or not 1 <= i <= t1:  # below k = 2, ids would leave the grid
+        raise ValueError(f"need k >= 2 and a step index in [1, {t1}], got k={k}, i={i}")
     s = _stage(k, i)
     offset = i - _stage_total(s - 1, k)
     q = k - s

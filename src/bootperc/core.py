@@ -11,10 +11,11 @@ downstream artifact is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import itemgetter, lt
 
 Edge = tuple[int, ...]
 
@@ -97,9 +98,6 @@ def id_to_label(vid: int, k: int) -> VertexLabel:
     return VertexLabel(layer=vid // w + 1, index=vid % w + 1)
 
 
-_INT = frozenset({int})
-
-
 def _is_int(value: object) -> bool:
     """A plain int, the only number a document holds: not a bool, float or int subclass."""
     return type(value) is int
@@ -115,7 +113,7 @@ def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) ->
         t = tuple(sorted(ids))
     except TypeError:  # ids of mixed types, an int and a str say, do not compare
         raise VertexTypeError(f"vertex ids {ids!r} of an edge must be ints") from None
-    if not _INT.issuperset(map(type, t)):  # _is_int of every id, without a call per id
+    if not set(map(type, t)) <= {int}:  # _is_int of every id, without a call per id
         raise VertexTypeError(f"vertex ids of edge {t} must be ints")
     if len(set(t)) != len(t):
         raise DuplicateVertexError(f"duplicate vertex in edge {t}")
@@ -128,14 +126,33 @@ def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) ->
     return t
 
 
+def _canonical(edges: Collection, r: int, n: int, kind: type = tuple) -> bool:
+    """Whether ``edges`` is a non-empty collection of ``kind``s of r strictly increasing
+    plain ints in [0, n), decided by C-level passes over it with no call per edge.  False
+    sends a caller to its per-edge checks, which name the first bad edge (and cost nothing
+    on an empty collection, whose r need not be small)."""
+    if not (isinstance(edges, Collection) and _is_int(r) and _is_int(n) and r >= 1
+            and set(map(type, edges)) <= {kind} and set(map(len, edges)) == {r}
+            and set(map(type, itertools.chain.from_iterable(edges))) <= {int}):
+        return False
+    column = [itemgetter(i) for i in range(r)]
+    pairs = (map(lt, map(a, edges), map(b, edges)) for a, b in zip(column, column[1:]))
+    in_range = min(map(column[0], edges)) >= 0 and max(map(column[-1], edges)) < n
+    return in_range and all(map(all, pairs))
+
+
 def supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All sorted m-vertex tuples over [0, n) containing ``e``, in lex order of the
     added vertex set (for m = len(e) + 1, the n - r single-vertex extensions, each
     yielded as it is built).  ``e`` is sorted and checked once; no tuple is sorted."""
     if m <= len(e):
         raise ValueError(f"m must exceed the edge arity {len(e)}, got {m}")
-    s = make_edge(e, n=n)
-    return _one_more(s, 0, n) if m == len(s) + 1 else iter(_inserted(s, 0, n, m - len(s)))
+    return _supersets(make_edge(e, n=n), n, m)
+
+
+def _supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """:func:`supersets` of an edge already canonical, with m > len(e), unchecked."""
+    return _one_more(e, 0, n) if m == len(e) + 1 else iter(_inserted(e, 0, n, m - len(e)))
 
 
 def _one_more(tail: Edge, lo: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -180,9 +197,10 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         self._check_sizes()
-        for e in self.edges:
-            if make_edge(e, r=self.r, n=self.n) != e:
-                raise DuplicateVertexError(f"edge {e} is not strictly increasing")
+        if not _canonical(self.edges, self.r, self.n):
+            for e in self.edges:  # names the first bad edge
+                if make_edge(e, r=self.r, n=self.n) != e:
+                    raise DuplicateVertexError(f"edge {e} is not strictly increasing")
 
     def _check_sizes(self) -> None:
         if not (_is_int(self.n) and _is_int(self.r)):
@@ -204,8 +222,11 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-        """Build a hypergraph, canonicalizing and validating every edge once."""
-        return cls._trusted(n, r, frozenset(make_edge(e, r=r, n=n) for e in edges))
+        """Build a hypergraph, canonicalizing and validating every edge once: a collection
+        of sorted tuples is checked whole, anything else edge by edge as it is read."""
+        if not _canonical(edges, r, n):
+            edges = (make_edge(e, r=r, n=n) for e in edges)
+        return cls._trusted(n, r, frozenset(edges))
 
     @classmethod
     def complete(cls, n: int, r: int) -> Hypergraph:

@@ -13,7 +13,7 @@ Two engines produce identical per-step traces:
   step i must share a tuple with a step-i edge), those through the
   uninfected edges (sound because a new edge is uninfected and lies in
   the tuple that fires it), or all C(n, m) tuples.  It streams them:
-  :func:`core.supersets` builds each tuple sorted and ``_recount`` scans
+  ``core._supersets`` builds each tuple sorted and ``_recount`` scans
   its facets at once, so no candidate set is kept; a tuple reached from
   two edges of a side is recounted twice, to the same result.
 * :func:`run_fast` advances frontier levels on link masks: one int per
@@ -41,7 +41,7 @@ from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
-from .core import Edge, Hypergraph, supersets
+from .core import Edge, Hypergraph, _supersets
 
 __all__ = [
     "InfectionTrace",
@@ -139,9 +139,10 @@ def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:
 
 
 def _naive_generations(
-    n: int, r: int, m: int, infected: set[Edge], frontier: Collection[Edge]
+    n: int, r: int, m: int, infected: set[Edge] | frozenset[Edge], frontier: Collection[Edge]
 ) -> Iterator[frozenset[Edge]]:
-    """Yield each generation's new edges, added to ``infected``, recounting the
+    """Yield each generation's new edges, added to ``infected`` (after the generation, so
+    a frozenset, untouched, serves a caller that reads only the first), recounting the
     side with the fewest tuples: the m-tuples through the previous generation's
     edges (first ``frontier``), those through the uninfected edges (a set built
     the first time it is used), or all C(n, m) tuples.  A first ``frontier``
@@ -161,7 +162,7 @@ def _naive_generations(
                 if uninfected is None:
                     uninfected = {e for e in itertools.combinations(range(n), r) if e not in infected}
                 side = uninfected
-            tuples = itertools.chain.from_iterable(supersets(e, n, m) for e in side)
+            tuples = itertools.chain.from_iterable(_supersets(e, n, m) for e in side)
         new = _recount(tuples, r, infected)
         if not new:
             return

@@ -20,19 +20,25 @@ invariant is rejected with a specific error code (``syntax``,
 ``schema``, ``version``, ``arity``, ``duplicate-vertex``,
 ``duplicate-edge``, ``id-range``, ``not-canonical``, ``certificate``).
 :func:`read_document` reads either kind of document, telling a
-certificate by its ``ignition`` key.  The parser checks every edge it
-reads and builds the graph from them unchecked; the certificate it
-builds checks its sequence edges again, as it does for any caller.
+certificate by its ``ignition`` key.  The parser checks each edge list
+whole, in a few passes of built-in functions: every item a list of r
+strictly increasing plain ints in [0, n), and the graph's list strictly
+increasing.  Only a list that fails is checked edge by edge, which names
+its first bad edge and its code.  The graph is built from the checked
+edges unchecked; the certificate checks its sequence edges again, whole,
+as it does for any caller.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import islice
+from operator import lt
 from typing import Any, TextIO
 
 from .constructions import CertificateError, SequentialCertificate
-from .core import Edge, Hypergraph, VertexLabel, _is_int
+from .core import Edge, Hypergraph, VertexLabel, _canonical, _is_int
 from .engine import RunResult
 
 __all__ = [
@@ -119,12 +125,14 @@ class CertificateDocument:
 
 def _emit_document(doc: dict[str, Any]) -> str:
     """Render ``doc`` in key order, leaving out None: a non-empty list one compact item
-    per line, any other value (a tuple such as the ignition included) on its key's line."""
+    per line, any other value (a tuple such as the ignition included) on its key's line.
+    Lists other than the labels hold edges, tuples of plain ints whose text as lists is
+    their JSON."""
     lines = []
     for key, value in doc.items():
         if isinstance(value, list) and value:
-            items = ",\n".join(f"    {json.dumps(item)}" for item in value)
-            lines.append(f'  "{key}": [\n{items}\n  ]')
+            items = map(json.dumps, value) if key == "labels" else map(str, map(list, value))
+            lines.append(f'  "{key}": [\n    ' + ",\n    ".join(items) + "\n  ]")
         elif value is not None:
             lines.append(f'  "{key}": {json.dumps(value)}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
@@ -165,9 +173,8 @@ def emit_trace(result: RunResult, sink: TextIO) -> None:
     g = result.final_graph
     header = {"format_version": FORMAT_VERSION, "r": g.r, "n": g.n, "t": result.running_time}
     sink.write(json.dumps(header) + "\n")
-    for i, stepset in enumerate(result.trace.steps, start=1):
-        for e in sorted(stepset):
-            sink.write(json.dumps({"step": i, "edge": list(e)}) + "\n")
+    for i, stepset in enumerate(result.trace.steps, start=1):  # the text json.dumps writes
+        sink.writelines(f'{{"step": {i}, "edge": {list(e)}}}\n' for e in sorted(stepset))
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +226,25 @@ def _parse_edge(raw: Any, r: int, n: int) -> Edge:
     return tuple(raw)
 
 
-def _parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
+def _parse_edges(raw: Any, r: int, n: int, field: str) -> tuple[Edge, ...]:
+    """The edges of a list field, checked whole; only a list that fails is checked edge
+    by edge, which names its first bad edge."""
     if not isinstance(raw, list):
-        raise DocumentError("schema", "field 'edges' must be a list")
-    edges = [_parse_edge(item, r, n) for item in raw]
-    for a, b in zip(edges, edges[1:]):
-        if a == b:
-            raise DocumentError("duplicate-edge", f"edge {list(a)} appears twice")
-        if a > b:
-            raise DocumentError("not-canonical", "edge list is not lexicographically sorted")
-    return tuple(edges)
+        raise DocumentError("schema", f"field {field!r} must be a list")
+    if _canonical(raw, r, n, list):
+        return tuple(map(tuple, raw))
+    return tuple(_parse_edge(item, r, n) for item in raw)
+
+
+def _parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
+    edges = _parse_edges(raw, r, n, "edges")
+    if not all(map(lt, edges, islice(edges, 1, None))):
+        for a, b in zip(edges, edges[1:]):  # names the first pair out of order
+            if a == b:
+                raise DocumentError("duplicate-edge", f"edge {list(a)} appears twice")
+            if a > b:
+                raise DocumentError("not-canonical", "edge list is not lexicographically sorted")
+    return edges
 
 
 def _parse_labels(raw: Any) -> Labels:
@@ -294,10 +310,7 @@ def _certificate(data: dict[str, Any]) -> CertificateDocument:
     graph, k, labels = _graph_fields(data)
     r, n = graph.r, graph.n
     ignition = _parse_edge(data["ignition"], r, n)
-    raw_seq = data["sequence"]
-    if not isinstance(raw_seq, list):
-        raise DocumentError("schema", "field 'sequence' must be a list")
-    sequence = tuple(_parse_edge(item, r, n) for item in raw_seq)
+    sequence = _parse_edges(data["sequence"], r, n, "sequence")
     predicted_t = _require_int(data, "predicted_t")
     apex = _require_int(data, "apex") if "apex" in data else None
     try:

@@ -110,10 +110,12 @@ def verify_sequential(
     seed = _LinkState(n, r, r + 1, _budget(g, r + 1, max_tuples))
     seed.add(_level(h.edges))
     fired = seed.fire(_level(h.edges))
-    recount = next(_naive_generations(n, r, r + 1, set(h.edges), h.edges), frozenset())
+    # the recount changes ``infected`` only after a generation, so H's own set serves
+    recount = next(_naive_generations(n, r, r + 1, h.edges, h.edges), frozenset())
     if fired.keys() != recount:
         raise EngineDisagreement("link state and recount disagree on the headless graph")
     first = h.edges if fired else ()  # if H fires, tuples avoiding the added edge fire too
+    del h  # a copy of the graph; the replays need it only as ``first``
 
     forward = seed.copy().run([cert.ignition], first)
     if comb(n, r + 1) <= NAIVE_CROSS_CHECK_LIMIT:

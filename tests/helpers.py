@@ -8,18 +8,27 @@ import signal
 import tracemalloc
 from contextlib import contextmanager
 from math import comb
+from typing import Any
+
+import pytest
 
 from bootperc import (
+    CertificateError,
+    DuplicateVertexError,
     Edge,
     Hypergraph,
     SequentialCertificate,
     build_base,
     engine,
+    make_edge,
     run_fast,
     run_naive,
     step,
     supersets,
 )
+import bootperc.io as bootperc_io
+from bootperc.core import _is_int
+from bootperc.io import DocumentError
 from bootperc.verify import (
     NAIVE_CROSS_CHECK_LIMIT,
     EngineDisagreement,
@@ -84,7 +93,7 @@ def reference_naive_generations(
 
 
 def count_supersets(monkeypatch) -> dict[str, int]:
-    """Count the engine's ``supersets`` calls and the tuples they yield."""
+    """Count the engine's ``_supersets`` calls and the tuples they yield."""
     counts = {"calls": 0, "tuples": 0}
 
     def counting(e, n, m):
@@ -93,7 +102,7 @@ def count_supersets(monkeypatch) -> dict[str, int]:
         counts["tuples"] += len(out)
         return out
 
-    monkeypatch.setattr(engine, "supersets", counting)
+    monkeypatch.setattr(engine, "_supersets", counting)
     return counts
 
 
@@ -233,3 +242,98 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# ---------------------------------------------------------------------------
+# per-edge reference checks: the boundaries check whole edge lists and fall
+# back to per-edge checks only to name a bad edge; these are the per-edge
+# checks they replaced, kept as the reference they must agree with
+
+
+def reference_parse_edge(raw: Any, r: int, n: int) -> Edge:
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
+        raise DocumentError("schema", f"edge {raw!r} must be a list of integers")
+    if len(raw) != r:
+        raise DocumentError("arity", f"edge {raw} has {len(raw)} vertices, expected {r}")
+    if len(set(raw)) != len(raw):
+        raise DocumentError("duplicate-vertex", f"duplicate vertex in edge {raw}")
+    if sorted(raw) != raw:
+        raise DocumentError("not-canonical", f"edge {raw} is not sorted")
+    if raw and (raw[0] < 0 or raw[-1] >= n):
+        raise DocumentError("id-range", f"edge {raw} out of range for n={n}")
+    return tuple(raw)
+
+
+def reference_parse_edges(raw: Any, r: int, n: int, field: str) -> tuple[Edge, ...]:
+    if not isinstance(raw, list):
+        raise DocumentError("schema", f"field {field!r} must be a list")
+    return tuple(reference_parse_edge(item, r, n) for item in raw)
+
+
+def reference_parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
+    if not isinstance(raw, list):
+        raise DocumentError("schema", "field 'edges' must be a list")
+    edges = [reference_parse_edge(item, r, n) for item in raw]
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            raise DocumentError("duplicate-edge", f"edge {list(a)} appears twice")
+        if a > b:
+            raise DocumentError("not-canonical", "edge list is not lexicographically sorted")
+    return tuple(edges)
+
+
+def reference_from_edges(cls, n: int, r: int, edges) -> Hypergraph:
+    return cls._trusted(n, r, frozenset(make_edge(e, r=r, n=n) for e in edges))
+
+
+def reference_graph_check(g: Hypergraph) -> None:
+    g._check_sizes()
+    for e in g.edges:
+        if make_edge(e, r=g.r, n=g.n) != e:
+            raise DuplicateVertexError(f"edge {e} is not strictly increasing")
+
+
+def reference_certificate_check(c: SequentialCertificate) -> None:
+    g = c.graph
+    if g.r != c.r:
+        raise CertificateError(f"graph uniformity {g.r} != r = {c.r}")
+    if not c.sequence:
+        raise CertificateError("empty sequence")
+    if c.sequence[0] != c.ignition:
+        raise CertificateError("sequence[0] differs from the ignition edge")
+    if c.ignition not in g:
+        raise CertificateError("ignition edge missing from the graph")
+    if len(set(c.sequence)) != len(c.sequence):
+        raise CertificateError("sequence edges are not pairwise distinct")
+    for i, edge in enumerate(c.sequence):
+        if make_edge(edge, r=c.r, n=g.n) != edge:
+            raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
+        if i >= 1 and edge in g:
+            raise CertificateError(f"sequence[{i}] already lies in the graph")
+    if not _is_int(c.predicted_t):
+        raise CertificateError(f"predicted_t must be an int, got {c.predicted_t!r}")
+    if c.predicted_t != len(c.sequence) - 1:
+        raise CertificateError(
+            f"predicted_t = {c.predicted_t} but the sequence has "
+            f"{len(c.sequence) - 1} steps after the ignition"
+        )
+    if c.apex is not None:
+        if not _is_int(c.apex):
+            raise CertificateError(f"apex must be an int, got {c.apex!r}")
+        if not 0 <= c.apex < g.n:
+            raise CertificateError(f"apex {c.apex} out of range")
+        for edge in c.sequence:
+            if c.apex not in edge:
+                raise CertificateError(f"apex {c.apex} missing from {edge}")
+
+
+@contextmanager
+def per_edge_checks():
+    """Run the parser, ``Hypergraph`` and ``SequentialCertificate`` on the reference checks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootperc_io, "_parse_edge_list", reference_parse_edge_list)
+        mp.setattr(bootperc_io, "_parse_edges", reference_parse_edges)
+        mp.setattr(Hypergraph, "from_edges", classmethod(reference_from_edges))
+        mp.setattr(Hypergraph, "__post_init__", reference_graph_check)
+        mp.setattr(SequentialCertificate, "__post_init__", reference_certificate_check)
+        yield

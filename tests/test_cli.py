@@ -456,6 +456,7 @@ HOSTILE_TEXTS = {
     "negative-vertex": lambda: json.dumps({"format_version": "1", "r": 2, "n": 5, "edges": [[-1, 2]]}),
     "one-edge": lambda: json.dumps(ONE_EDGE),
     "huge-empty": lambda: json.dumps(HUGE_EMPTY),
+    "huge-r-empty": lambda: json.dumps({"format_version": "1", "r": 10**18, "n": 3, "edges": []}),
 }
 
 STANDINS = st.one_of(

@@ -104,6 +104,15 @@ class TestPredictedBaseEdge:
             predicted_base_edge(2, 0)
         with pytest.raises(ValueError):
             predicted_base_edge(2, 13)
+        with pytest.raises(ValueError):
+            predicted_base_edge(0, 1)  # k = 0 has steps, but names ids off its grid
+
+    def test_ids_by_arithmetic_are_labels_in_the_grid(self, monkeypatch):
+        # the generators name ids unchecked; label_to_id refuses a label off the grid
+        built = [build_base(k) for k in range(2, 7)] + [build_full(3, 3), build_full(4, 2)]
+        monkeypatch.setattr(constructions, "_vid", vid)
+        again = [build_base(k) for k in range(2, 7)] + [build_full(3, 3), build_full(4, 2)]
+        assert again == built
 
 
 class TestGlue:
@@ -424,6 +433,25 @@ def stages(r, k):
     return out
 
 
+def count_edge_checks(monkeypatch) -> list[int]:
+    """Count the edges the constructions check: one per ``make_edge`` call and each edge
+    of a whole-list ``_canonical`` check."""
+    checked, whole = [0], core._canonical
+
+    def counting(*args, **kwargs):
+        checked[0] += 1
+        return make_edge(*args, **kwargs)
+
+    def counting_whole(edges, *args):
+        checked[0] += len(edges)
+        return whole(edges, *args)
+
+    for module in (core, constructions):
+        monkeypatch.setattr(module, "make_edge", counting)
+        monkeypatch.setattr(module, "_canonical", counting_whole)
+    return checked
+
+
 class TestCanonicalConstruction:
     @pytest.mark.parametrize("r,k", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2)])
     def test_every_stage_is_canonical(self, r, k):
@@ -438,29 +466,15 @@ class TestCanonicalConstruction:
 
     def test_build_full_checks_each_edge_once(self, monkeypatch):
         limit = sum(len(c.graph) + len(c.sequence) for c in stages(4, 3))
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return make_edge(*args, **kwargs)
-
-        monkeypatch.setattr(core, "make_edge", counting)
-        monkeypatch.setattr(constructions, "make_edge", counting)
+        checked = count_edge_checks(monkeypatch)
         build_full(4, 3)
-        assert 0 < len(calls) <= limit
+        assert 0 < checked[0] <= limit
 
     def test_glue_checks_only_the_edges_it_builds(self, monkeypatch):
-        # 40,770 calls while glue re-checked the C(20, 5) = 15,504 tuples the last lift adds
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return make_edge(*args, **kwargs)
-
-        monkeypatch.setattr(core, "make_edge", counting)
-        monkeypatch.setattr(constructions, "make_edge", counting)
+        # 40,770 edges checked while glue re-checked the C(20, 5) = 15,504 tuples of the last lift
+        checked = count_edge_checks(monkeypatch)
         build_full(5, 2)
-        assert 0 < len(calls) <= 25_266
+        assert 0 < checked[0] <= 25_266
 
 
 def test_scaffold_is_apex_free_and_strip_is_path_local():

@@ -92,6 +92,18 @@ class TestRunNaive:
         res = run_naive(Hypergraph(n=6, r=3, edges=frozenset()))
         assert res.running_time == 0 and len(res.trace) == 0
 
+    def test_recount_checks_no_edge_it_already_owns(self, monkeypatch):
+        # every edge the recount extends is canonical already; the public supersets,
+        # which it used to call, checked each one again with make_edge
+        g = random_hypergraph(random.Random(1), 30, 2, 0.06)
+        fast = run_fast(g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive engine checked an edge again")
+
+        monkeypatch.setattr("bootperc.core.make_edge", refuse)
+        assert run_naive(g) == fast and fast.running_time > 1
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_base_minus_ignition_stationary(self, k):
         cert = build_base(k)

@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootperc.core as core
-from bootperc import Hypergraph, build_base, build_full, glue, lift, run_fast, run_naive
+from bootperc import (
+    Hypergraph,
+    SequentialCertificate,
+    build_base,
+    build_full,
+    glue,
+    lift,
+    run_fast,
+    run_naive,
+)
 from bootperc.core import VertexLabel, id_to_label
 from bootperc.io import (
     CertificateDocument,
@@ -26,7 +35,7 @@ from bootperc.io import (
     read_document,
 )
 
-from helpers import forbid_revalidation, random_hypergraph
+from helpers import forbid_revalidation, peak_traced_bytes, per_edge_checks, random_hypergraph
 
 
 def k34_doc() -> str:
@@ -488,6 +497,113 @@ class TestParseFuzz:
         for g in graphs:
             assert g == Hypergraph.from_edges(g.n, g.r, g.edges)
         assert cert.graph is graphs[-1] and cert == build_full(3, 2)
+
+
+BREAKS = (
+    "bool", "float", "negative", "repeated vertex", "unsorted edge", "arity", "id >= n",
+    "non-list item", "repeated edge", "out of order", "none",
+)
+
+
+def broken(edges: list[list[int]], n: int, draw) -> list:
+    """A copy of a canonical edge list (r >= 2, at least two edges) with one drawn break."""
+    edges = [list(e) for e in edges]
+    kind = draw(st.sampled_from(BREAKS))
+    i = draw(st.integers(min_value=0, max_value=len(edges) - 2))
+    e = edges[i]
+    p = draw(st.integers(min_value=0, max_value=len(e) - 1))
+    if kind == "bool":
+        e[p] = draw(st.booleans())
+    elif kind == "float":
+        e[p] = float(e[p])
+    elif kind == "negative":
+        e[p] = -1 - e[p]
+    elif kind == "repeated vertex":
+        e[p] = e[p - 1]
+    elif kind == "unsorted edge":
+        e.reverse()
+    elif kind == "arity":
+        e.pop(p) if draw(st.booleans()) else e.append(n + p)
+    elif kind == "id >= n":
+        e[-1] = n + p
+    elif kind == "non-list item":
+        edges[i] = draw(st.sampled_from([3, "ab", None, {"a": 1}, 2.5]))
+    elif kind == "repeated edge":
+        edges.insert(i, list(e))
+    elif kind == "out of order":
+        edges[i], edges[i + 1] = edges[i + 1], e
+    return edges
+
+
+def as_tuples(items: list) -> list:
+    return [tuple(x) if isinstance(x, list) else x for x in items]
+
+
+def outcome(call):
+    """What a call returns, or the type, message and code of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared whatever it is, never swallowed
+        return type(exc), str(exc), getattr(exc, "code", None)
+
+
+@cache
+def differential_certificates() -> tuple[SequentialCertificate, ...]:
+    return build_base(2), build_full(3, 2)
+
+
+class TestWholeListChecks:
+    """Whole-list checks accept exactly what the per-edge checks accept, and a broken
+    list raises what they raise: the same type, code and message."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_broken_edge_lists_fail_as_the_per_edge_checks_do(self, data):
+        r = data.draw(st.integers(min_value=2, max_value=4))
+        n = data.draw(st.integers(min_value=r + 1, max_value=8))
+        valid = data.draw(st.lists(
+            st.sampled_from(list(itertools.combinations(range(n), r))),
+            min_size=2, max_size=12, unique=True,
+        ).map(sorted))
+        raw = broken(valid, n, data.draw)
+        graph_text = json.dumps({"format_version": "1", "r": r, "n": n, "edges": raw})
+        calls = [
+            lambda: parse_graph(graph_text),
+            lambda: Hypergraph.from_edges(n, r, as_tuples(raw)),
+            lambda: Hypergraph(n=n, r=r, edges=frozenset(as_tuples(raw))),
+        ]
+        cert = data.draw(st.sampled_from(differential_certificates()))
+        decoded = json.loads(emit_certificate(cert))
+        key = data.draw(st.sampled_from(["edges", "sequence"]))
+        decoded[key] = broken(decoded[key], cert.graph.n, data.draw)
+        if key == "sequence" and data.draw(st.booleans()):  # a step that is already infected
+            step = data.draw(st.integers(min_value=1, max_value=len(decoded[key]) - 1))
+            decoded[key][step] = list(data.draw(st.sampled_from(cert.graph.sorted_edges)))
+        cert_text = json.dumps(decoded)
+        sequence = tuple(as_tuples(decoded["sequence"]))
+        calls += [
+            lambda: parse_certificate(cert_text),
+            lambda: SequentialCertificate(
+                graph=cert.graph, ignition=cert.ignition, sequence=sequence, r=cert.r,
+                k=cert.k, predicted_t=cert.predicted_t, apex=cert.apex,
+            ),
+        ]
+        for call in calls:
+            with per_edge_checks():
+                want = outcome(call)
+            assert outcome(call) == want
+
+    def test_peaks_stay_at_the_per_edge_checks(self):
+        # the per-edge code peaked at 1.92 MB emitting, 3.83-3.98 MB parsing (with the
+        # collector's timing) and 1.70 MB in from_edges, which copied every edge
+        cert = build_full(4, 3)
+        text, peak = peak_traced_bytes(lambda: emit_certificate(cert))
+        assert peak < 2.1 * 10**6
+        doc, peak = peak_traced_bytes(lambda: parse_certificate(text))
+        assert doc.to_certificate() == cert and peak < 4.1 * 10**6
+        edges = list(cert.graph.edges)
+        g, peak = peak_traced_bytes(lambda: Hypergraph.from_edges(cert.graph.n, cert.r, edges))
+        assert g == cert.graph and peak < 10**6
 
 
 class TestEmitTrace:

@@ -189,6 +189,14 @@ class TestSeededReplay:
         assert report.all_passed
         assert peak < 6 * 10**6
 
+    def test_recount_and_replays_hold_no_copy_of_h(self):
+        # 3.02 MB while the recount took a set copy of H and the replays kept H's
+        # frozenset: 1.0 MiB each at (5,2), 20,048 edges
+        cert = build_full(5, 2)
+        report, peak = peak_traced_bytes(lambda: verify_sequential(cert))
+        assert report.all_passed
+        assert peak < 3.02 * 10**6 - 0.8 * 2**20
+
     def test_padded_vertex_set_needs_no_sweep(self, monkeypatch):
         # C(800, 4) = 1.7e10 tuples; the naive recount visits 20 * 797 instead
         refuse_sweep(monkeypatch, 20 * 797)
