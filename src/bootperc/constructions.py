@@ -333,7 +333,6 @@ def build_full(r: int, k: int) -> SequentialCertificate:
         cert = glue(cert)
         if rho < r:
             cert = lift(cert)
-    assert cert.predicted_t == full_running_time(r, k)
     return cert
 
 

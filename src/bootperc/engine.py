@@ -28,9 +28,10 @@ The two share no update code.  :func:`step`, the definitional sweep of
 tested against.  ``verify`` recounts with ``_naive_generations`` and
 replays several starts from one seeded ``_LinkState``.  ``_budget``
 refuses, for both engines, a graph one of whose edges alone meets more
-m-tuples than the cap.  Past a cap both raise TupleBudgetExceeded("more
-than N distinct m-tuples meet the infected graph"), naming no option:
-the CLI adds which one to change.
+m-tuples than the cap, and ``_idle`` answers at once an empty graph or
+one too sparse to fire the one m-tuple of m >= n vertices.  Past a cap
+both raise TupleBudgetExceeded("more than N distinct m-tuples meet the
+infected graph"), naming no option: the CLI adds which one to change.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     """
     m = _check_m(g0, m)
     _budget(g0, m, None)
-    return _result(g0, list(_naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges)))
+    steps = [] if _idle(g0, m) else _naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges)
+    return _result(g0, list(steps))
 
 
 def _bits(x: int) -> list[int]:
@@ -211,13 +213,32 @@ def _over_budget(budget: int) -> TupleBudgetExceeded:
     return TupleBudgetExceeded(f"more than {budget} distinct m-tuples meet the infected graph")
 
 
+def _comb_over(n: int, k: int, cap: int) -> bool:
+    """Whether C(n, k) > cap, from C(n, 0), C(n, 1), ... up to C(n, min(k, n - k)), which
+    never decrease, stopping at the first term past ``cap``: as C(n, i) >= 2^i there, that
+    takes about log2(cap) terms at most, however large n and k are."""
+    c = 1 if 0 <= k <= n else 0
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            break
+    return c > cap
+
+
+def _idle(g: Hypergraph, m: int) -> bool:
+    """Whether nothing can fire, seen without a search: ``g`` is empty, or m >= n, so there
+    is one m-tuple at most (on a vertex set that may be too large to list or mask), and
+    firing it needs C(m, r) - 1 infected facets, more than ``g`` has edges."""
+    return not g.edges or m >= g.n and _comb_over(m, g.r, len(g.edges) + 1)
+
+
 def _budget(g: Hypergraph, m: int, max_tuples: int | None) -> int:
     """The tuple cap, DEFAULT_MAX_TUPLES unless given, checked against ``g`` up front."""
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
     if budget < 0:
         raise ValueError(f"max_tuples must be >= 0, got {budget}")
-    if g.edges and comb(g.n - g.r, m - g.r) > budget:
-        # any one edge meets that many tuples; nothing of size n is built
+    if g.edges and _comb_over(g.n - g.r, m - g.r, budget):
+        # any one edge meets C(n - r, m - r) tuples; nothing of size n is built
         raise _over_budget(budget)
     return budget
 
@@ -235,6 +256,8 @@ class _LinkState:
     ``link[S]`` decide them for every v at once: v is kept while at most
     one facet of the tuple is missing, and the last vertex fires that
     one facet; a search ends once fewer vertices are left than it needs.
+    One body runs both states of a search, no facet missing yet or one
+    known missing facet, so every clique size m >= r+1 takes one path.
     A search carries U as ``bits``, its vertices as single-bit ints, and
     ``keys``, the flat list of U's (r-1)-subsets, with their planes
     ``vals``.  ``touched`` counts the distinct m-tuples meeting the graph;
@@ -321,46 +344,37 @@ class _LinkState:
     ) -> None:
         """Add to ``new`` the facets fired by tuples U | A, A k vertices from ``cand``.
 
-        ``missing`` is the one uninfected facet inside U, if any.
+        ``missing`` is the one uninfected facet inside U, if any.  Until there is one, a
+        vertex b may miss one plane of U, and then ``key | b``, with ``key`` that plane's
+        (r-1)-set, is missing from here on; after that every vertex lies in every plane.
         """
         if cand.bit_count() < k:
             return
         prefix = [cand]  # prefix[i]: cand and the first i planes
         for v in vals:
             prefix.append(prefix[-1] & v)
-        all_in = prefix[-1]
-        if missing is not None:
-            if k == 1:
-                if all_in:
-                    low = missing & -missing
-                    new[missing ^ low] = new.get(missing ^ low, 0) | low
-                return
-            for b in _bits(all_in):
-                self._fire(
-                    *self._grow(bits, keys, vals, b), all_in & -(b << 1), k - 1, missing, new
-                )
-            return
-        one = []  # (i, the vertices of cand in every plane but plane i and not in it)
-        suffix = -1
-        for i in reversed(range(len(vals))):
-            plane = prefix[i] & suffix & ~vals[i]
-            if plane:
-                one.append((i, plane))
-            suffix &= vals[i]
+        all_in = at_most_one = prefix[-1]
+        one = []  # (key, the vertices of cand in every plane but key's and not in it)
+        if missing is None:
+            suffix = -1
+            for i in reversed(range(len(vals))):
+                plane = prefix[i] & suffix & ~vals[i]
+                if plane:
+                    one.append((keys[i], plane))
+                    at_most_one |= plane
+                suffix &= vals[i]
+        elif k == 1 and all_in:  # U's missing facet fires, keyed by all but its lowest vertex
+            one.append((missing & (missing - 1), missing & -missing))
         if k == 1:
-            for i, plane in one:
-                new[keys[i]] = new.get(keys[i], 0) | plane
+            for key, plane in one:
+                new[key] = new.get(key, 0) | plane
             return
-        at_most_one = all_in
-        for _, plane in one:
-            at_most_one |= plane
+        fire, grow = self._fire, self._grow
         for b in _bits(all_in):
-            self._fire(*self._grow(bits, keys, vals, b), at_most_one & -(b << 1), k - 1, None, new)
-        for i, plane in one:
+            fire(*grow(bits, keys, vals, b), at_most_one & -(b << 1), k - 1, missing, new)
+        for key, plane in one:
             for b in _bits(plane):
-                self._fire(
-                    *self._grow(bits, keys, vals, b), all_in & -(b << 1), k - 1, keys[i] | b, new
-                )
+                fire(*grow(bits, keys, vals, b), all_in & -(b << 1), k - 1, key | b, new)
 
 
 def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None) -> RunResult:
@@ -372,5 +386,6 @@ def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None
     """
     m = _check_m(g0, m)
     budget = _budget(g0, m, max_tuples)
-    # no state for an empty graph: its mask of n bits is never built
-    return _result(g0, _LinkState(g0.n, g0.r, m, budget).run(g0.edges) if g0.edges else [])
+    # no state, so no mask of n bits, when idle: it would count one tuple at most, which
+    # _budget has let through
+    return _result(g0, [] if _idle(g0, m) else _LinkState(g0.n, g0.r, m, budget).run(g0.edges))

@@ -254,13 +254,13 @@ def _counter_rule(
     fresh: list[int],
     counters: list[list[int]],
     tuples: list[tuple[int, ...]],
-    r: int,
     full: int,
 ) -> list[int]:
     """Rule B: a bit-sliced count of infected facets per tuple.
 
     Each counter is incremented by the previous generation's new planes;
-    a counter equal to r fires the tuple's one uninfected facet.
+    a counter one short of its tuple's facet count fires the tuple's one
+    uninfected facet.
     """
     new = [0] * len(x)
     for t, counter in zip(tuples, counters):
@@ -270,9 +270,9 @@ def _counter_rule(
             while carry:
                 counter[b], carry = counter[b] ^ carry, counter[b] & carry
                 b += 1
-        fire = full
+        fire, short = full, len(t) - 1
         for b, plane in enumerate(counter):
-            fire &= plane if r >> b & 1 else full ^ plane
+            fire &= plane if short >> b & 1 else full ^ plane
         if fire:
             for f in t:
                 new[f] |= fire
@@ -282,21 +282,22 @@ def _counter_rule(
 
 
 def _generations(
-    x: list[int], tuples: list[tuple[int, ...]], r: int, full: int, base: int
+    x: list[int], tuples: list[tuple[int, ...]], full: int, base: int
 ):
     """Yield (activity, new planes) for each generation with any new edge.
 
     ``x`` holds the initial planes of the chunk starting at mask ``base``
     and is advanced in place.  Every generation runs both update rules;
     if any plane differs, EngineDisagreement names the smallest mask
-    on which they diverge.
+    on which they diverge.  Each tuple's counter is wide enough to count
+    all of its facets.
     """
-    counters = [[0] * (r + 1).bit_length() for _ in tuples]
+    counters = [[0] * len(t).bit_length() for t in tuples]
     fresh = list(x)
     while True:
         new = _recount_rule(x, tuples)
         diff = activity = 0
-        for a, b in zip(new, _counter_rule(x, fresh, counters, tuples, r, full)):
+        for a, b in zip(new, _counter_rule(x, fresh, counters, tuples, full)):
             diff |= a ^ b
             activity |= a
         if diff:
@@ -321,7 +322,7 @@ def _scan_chunks(args: tuple[int, int, int, int, int]) -> tuple[int, int]:
         base = chunk << c
         x = _chunk_planes(base, c, num_edges)
         t, last = 0, full  # with no generation, every mask of the chunk has T = 0
-        for t, (activity, _) in enumerate(_generations(x, tuples, r, full, base), 1):
+        for t, (activity, _) in enumerate(_generations(x, tuples, full, base), 1):
             last = activity
         if t > best_t:
             best_t, best_mask = t, base + (last & -last).bit_length() - 1

@@ -523,7 +523,7 @@ def short_id(value: str) -> str | None:
 
 
 class TestArgumentFuzz:
-    """Huge, negative and zero arguments to bounds and brute end within 2 s, one line at most."""
+    """Huge, negative and zero arguments to bounds, brute and run end in 2 s, one line at most."""
 
     @pytest.mark.parametrize("r", [*HOSTILE_INTS, "3", "40"], ids=short_id)
     def test_bounds(self, r, capsys):
@@ -541,3 +541,15 @@ class TestArgumentFuzz:
         for jobs in ["-3", "0", "1", HUGE]:
             argv = ["brute", "--r", r, "--n", n, "--jobs", jobs]
             assert assert_bounded_exit(argv, capsys) in (0, 2, 3)
+
+    @pytest.mark.parametrize("n", [10**12, int(WIDE)], ids=["1e12", "wide"])
+    @pytest.mark.parametrize("engine", ["fast", "naive"])
+    def test_run_clique_sizes(self, n, engine, tmp_path, capsys):
+        # one edge on n vertices: a clique size far past the cap is refused at once, and one
+        # at or above n fires nothing
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**ONE_EDGE, "n": n}))
+        for m in [*HOSTILE_INTS, "1000000", str(n // 2)]:
+            argv = ["run", "--in", str(path), "--m", m, "--engine", engine]
+            code = assert_bounded_exit(argv, capsys)
+            assert code == 3 if m in ("1000000", str(n // 2)) else code in (0, 2, 3), m[:20]

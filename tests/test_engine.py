@@ -337,6 +337,16 @@ class TestEngineEquivalence:
             fast = run_fast(g)
             assert tuple(reference) == naive.trace.steps == fast.trace.steps
 
+    @pytest.mark.parametrize("r, m", [(1, 3), (1, 4), (2, 5), (3, 5)])
+    def test_every_graph_on_five_vertices_at_larger_cliques(self, r, m):
+        # m = r+2 and r+3 search on past a known missing facet; (2, 4) is the K_4 test's.
+        # At m = n = 5 only graphs with at least C(5, r) - 1 edges get past engine._idle
+        edges = list(itertools.combinations(range(5), r))
+        for mask in range(1 << len(edges)):
+            g = Hypergraph.from_edges(5, r, [e for i, e in enumerate(edges) if mask >> i & 1])
+            reference = tuple(iterate_step(g, m=m))
+            assert run_naive(g, m=m).trace.steps == reference == run_fast(g, m=m).trace.steps, mask
+
 
 class TestRecountAgainstPerTupleLoop:
     @pytest.mark.parametrize("r, m", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6)])

@@ -399,7 +399,7 @@ class TestMaskEnginesMatchObjectEngines:
         masks = range(1 << len(edges))
         steps = {mask: [] for mask in masks}
         generations = 0
-        for activity, new in _generations(x, tuples, r, full, 0):
+        for activity, new in _generations(x, tuples, full, 0):
             generations += 1
             assert activity == sum(1 << mask for mask in masks if any(p >> mask & 1 for p in new))
             for mask in masks:
@@ -422,6 +422,26 @@ class TestMaskEnginesMatchObjectEngines:
     def test_exhaustive_three_five(self):
         self.check_every_mask(3, 5)
 
+    @pytest.mark.parametrize("r, n", [(2, 6), (3, 6)])
+    def test_drawn_masks_of_the_largest_oracle_cells(self, r, n):
+        # 3 drawn chunks of 2^12 masks, 64 masks read from each: a mask's T is the number of
+        # generations whose activity holds its bit, and its steps are its bits of their planes
+        edges, tuples, c = list(itertools.combinations(range(n), r)), _tuple_facets(r, n), 12
+        rng = random.Random(r * n)
+        for chunk in rng.sample(range(1 << (len(edges) - c)), 3):
+            base = chunk << c
+            x = _chunk_planes(base, c, len(edges))
+            generations = list(_generations(x, tuples, (1 << (1 << c)) - 1, base))
+            for j in rng.sample(range(1 << c), 64):
+                t = sum(activity >> j & 1 for activity, _ in generations)
+                steps = tuple(
+                    frozenset(e for e, p in zip(edges, new) if p >> j & 1)
+                    for _, new in generations[:t]
+                )
+                mask = base + j
+                g = Hypergraph.from_edges(n, r, [e for i, e in enumerate(edges) if mask >> i & 1])
+                assert run_fast(g).trace.steps == steps == run_naive(g).trace.steps, mask
+
     @staticmethod
     def flip_counter_bit(monkeypatch, edge, mask):
         true_rule = verify._counter_rule
@@ -438,7 +458,7 @@ class TestMaskEnginesMatchObjectEngines:
         _, x, tuples, full = self.single_chunk(3, 5)
         self.flip_counter_bit(monkeypatch, edge, mask)
         with pytest.raises(EngineDisagreement, match=f"on mask {5 * 1024 + mask}$"):
-            list(_generations(x, tuples, 3, full, 5 * 1024))
+            list(_generations(x, tuples, full, 5 * 1024))
         with pytest.raises(EngineDisagreement, match=f"on mask {mask}$"):
             brute_force_max_time(3, 5)
 
