@@ -4,9 +4,10 @@ Subcommands: build, run, verify, bounds, brute, check-base.  Human
 output goes to stdout, diagnostics to stderr; machine-readable output
 only via --out/--trace files.  Exit codes: 0 success/verified, 1
 verification or bound check failed, 2 invalid input or arguments, 3
-resource cap exceeded, 4 internal inconsistency (two engines or update
-rules that must agree did not, or any other unexpected exception: a bug
-in bootperc, not in the input), reported as one stderr line.
+resource cap exceeded or out of memory, 4 internal inconsistency (two
+engines or update rules that must agree did not, or any other
+unexpected exception: a bug in bootperc, not in the input), reported
+as one stderr line.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TupleBudgetExceeded, SearchCapExceeded) as exc:
         hint = _BUDGET_HINTS.get((args.command, getattr(args, "engine", None)), "")
         print(f"error: {exc}{hint}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:  # such as a mask of n bits for a huge n
+        print("error: out of memory: the input needs more than is available", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # io.DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

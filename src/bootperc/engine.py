@@ -29,7 +29,9 @@ tested against.  ``verify`` recounts with ``_naive_generations`` and
 replays several starts from one seeded ``_LinkState``.  ``_budget``
 refuses, for both engines, a graph one of whose edges alone meets more
 m-tuples than the cap, and ``_idle`` answers at once an empty graph or
-one too sparse to fire the one m-tuple of m >= n vertices.  Past a cap
+one too sparse to fire the one m-tuple of m >= n vertices.  The link
+masks count the tuples meeting the graph only when C(n, m) exceeds the
+cap: no graph meets more, so a larger cap cannot bind.  Past a cap
 both raise TupleBudgetExceeded("more than N distinct m-tuples meet the
 infected graph"), naming no option: the CLI adds which one to change.
 """
@@ -260,16 +262,19 @@ class _LinkState:
     known missing facet, so every clique size m >= r+1 takes one path.
     A search carries U as ``bits``, its vertices as single-bit ints, and
     ``keys``, the flat list of U's (r-1)-subsets, with their planes
-    ``vals``.  ``touched`` counts the distinct m-tuples meeting the graph;
-    :meth:`add` raises TupleBudgetExceeded past ``budget``.
+    ``vals``.  At most C(n, m) tuples meet any graph, so only when that
+    exceeds ``budget`` does :meth:`add` count them: ``touched``, the
+    distinct m-tuples meeting the graph, and ``covered`` stay 0 otherwise,
+    and past ``budget`` :meth:`add` raises TupleBudgetExceeded.
     """
 
     def __init__(self, n: int, r: int, m: int, budget: int) -> None:
         self.r, self.m, self.budget = r, m, budget
         self.full = (1 << n) - 1
         self.link: dict[int, int] = {}
+        self.counting = _comb_over(n, m, budget)  # whether the cap can bind
         self.touched = 0
-        self.covered = 0  # the vertices of the infected edges
+        self.covered = 0  # the vertices of the infected edges, while counting
 
     def copy(self) -> _LinkState:
         other = copy.copy(self)
@@ -277,17 +282,19 @@ class _LinkState:
         return other
 
     def add(self, level: _Level) -> None:
-        """Count the tuples each edge of ``level`` newly meets and enter it in ``link``."""
-        link, full, k, count = self.link, self.full, self.m - self.r, self._count
+        """Enter each edge of ``level`` in ``link``; if the cap can bind, count first the
+        tuples it newly meets."""
+        link, counting = self.link, self.counting
+        full, k, count = self.full, self.m - self.r, self._count
         for bits, keys in level:
-            f = sum(bits)
-            vals = [link.get(x, 0) for x in keys]
-            self.touched += count(bits, keys, vals, full & ~f, k)
-            if self.touched > self.budget:
-                raise _over_budget(self.budget)
-            for b, x, v in zip(bits, keys, vals):
-                link[x] = v | b
-            self.covered |= f
+            if counting:
+                f = sum(bits)
+                self.touched += count(bits, keys, [link.get(x, 0) for x in keys], full & ~f, k)
+                if self.touched > self.budget:
+                    raise _over_budget(self.budget)
+                self.covered |= f
+            for b, x in zip(bits, keys):
+                link[x] = link.get(x, 0) | b
 
     def fire(self, level: _Level) -> dict[Edge, tuple[list[int], list[int]]]:
         """The next level, keyed by edge: the uninfected facets m-tuples through ``level`` fire.

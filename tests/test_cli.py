@@ -340,6 +340,23 @@ class TestInternalInconsistency:
         assert captured.err == "error: internal inconsistency: boom\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("module, name, command", [
+        (cli, "run_fast", "run"), (verify, "verify_sequential", "verify"),
+    ], ids=["run", "verify"])
+    def test_out_of_memory_is_a_resource_error(
+        self, base_cert_file, capsys, monkeypatch, module, name, command
+    ):
+        # as a huge n's n-bit mask would raise; nothing that large is asked for here
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, exhausted)
+        assert main([command, "--in", str(base_cert_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert captured.err.count("\n") == 1
+
     def test_verify_link_state_and_recount_disagree(self, base_cert_file, capsys, monkeypatch):
         inject_headless_fire(monkeypatch, (0, 1, 2))
         assert main(["verify", "--in", str(base_cert_file)]) == 4

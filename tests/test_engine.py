@@ -18,6 +18,7 @@ from bootperc import (
     run_fast,
     run_naive,
     step,
+    verify_sequential,
 )
 from bootperc.core import supersets
 from bootperc.engine import DEFAULT_MAX_TUPLES, _level, _LinkState, _naive_generations
@@ -247,6 +248,39 @@ class TestRunFast:
             assert run_fast(g, m=36, max_tuples=touched).running_time == 0
             with pytest.raises(TupleBudgetExceeded):
                 run_fast(g, m=36, max_tuples=touched - 1)
+
+
+class Counted(Exception):
+    pass
+
+
+class TestCountOnlyWhereTheCapCanBind:
+    """No graph meets more than C(n, m) m-tuples, so a cap at or above that is never counted."""
+
+    @pytest.fixture()
+    def no_count(self, monkeypatch):
+        def refuse(*args):
+            raise Counted
+
+        monkeypatch.setattr(_LinkState, "_count", refuse)
+
+    def test_default_cap_on_a_construction(self, no_count):
+        assert run_fast(build_full(4, 3).graph).running_time == full_running_time(4, 3)
+
+    def test_default_cap_on_a_drawn_graph_with_a_larger_clique(self, no_count):
+        g = random_hypergraph(random.Random(5), 16, 3, 0.4)
+        assert run_fast(g, m=5) == run_naive(g, m=5)
+
+    def test_default_cap_in_verify(self, no_count):
+        assert verify_sequential(build_full(3, 5)).all_passed
+
+    def test_cap_of_every_tuple(self, no_count):
+        # the final graph is complete, so it meets all C(6, 5) tuples: a cap of one
+        # fewer binds (TestRunFast checks it raises TupleBudgetExceeded), so it counts
+        g, _ = near_complete(6, 3)
+        assert run_fast(g, m=5, max_tuples=comb(6, 5)).running_time == 1
+        with pytest.raises(Counted):
+            run_fast(g, m=5, max_tuples=comb(6, 5) - 1)
 
 
 @st.composite
@@ -500,15 +534,20 @@ class TestMetamorphic:
         shuffled = data.draw(st.permutations(edges))
         cuts = sorted(data.draw(st.lists(st.integers(0, len(edges)), max_size=3)))
         split = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(edges)])]
-        seeded = []
-        for batches in ([edges], [shuffled], split):
-            state = _LinkState(g.n, r, m, DEFAULT_MAX_TUPLES)
-            for batch in batches:
-                state.add(_level(batch))
-            first = state.fire(_level(itertools.chain(*batches)))
-            seeded.append((state.link, state.touched, state.covered, first))
-        assert seeded[0] == seeded[1] == seeded[2]
-        assert set(seeded[0][3]) == set(next(iter(run_naive(g, m=m).trace.steps), ()))
+        # the default cap cannot bind, so nothing is counted; one below C(n, m) counts the
+        # seed's tuples, unless it meets all of them and so must raise
+        met = len({t for e in edges for t in supersets(e, g.n, m)})
+        for cap in [DEFAULT_MAX_TUPLES] + [comb(g.n, m) - 1] * (met < comb(g.n, m)):
+            seeded = []
+            for batches in ([edges], [shuffled], split):
+                state = _LinkState(g.n, r, m, cap)
+                for batch in batches:
+                    state.add(_level(batch))
+                first = state.fire(_level(itertools.chain(*batches)))
+                seeded.append((state.link, state.touched, state.covered, first))
+            assert seeded[0] == seeded[1] == seeded[2]
+            assert seeded[0][1] == (0 if cap == DEFAULT_MAX_TUPLES else met)
+            assert set(seeded[0][3]) == set(next(iter(run_naive(g, m=m).trace.steps), ()))
 
 
 class TestTraceTypes:
