@@ -43,9 +43,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise ValueError(f"stage {args.stage!r} requires r = 3, got r = {args.r}")
     if args.stage == "base":
         cert = constructions.build_base(args.k)
-    elif args.stage == "glued":
-        cert = constructions.build_full(3, args.k)
-    else:
+    else:  # the glued stage is the full construction at r = 3
         cert = constructions.build_full(args.r, args.k)
     g = cert.graph
     print(f"vertices={g.n} edges={len(g)} predicted_T={cert.predicted_t}")
@@ -188,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         hint = _BUDGET_HINTS.get((args.command, getattr(args, "engine", None)), "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:  # such as a mask of n bits for a huge n
+    except MemoryError:  # such as the link keys of a wide edge
         print("error: out of memory: the input needs more than is available", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # io.DocumentError is a ValueError

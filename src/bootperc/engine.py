@@ -229,8 +229,8 @@ def _comb_over(n: int, k: int, cap: int) -> bool:
 
 def _idle(g: Hypergraph, m: int) -> bool:
     """Whether nothing can fire, seen without a search: ``g`` is empty, or m >= n, so there
-    is one m-tuple at most (on a vertex set that may be too large to list or mask), and
-    firing it needs C(m, r) - 1 infected facets, more than ``g`` has edges."""
+    is one m-tuple at most (on a vertex set that may be too large to list), and firing it
+    needs C(m, r) - 1 infected facets, more than ``g`` has edges."""
     return not g.edges or m >= g.n and _comb_over(m, g.r, len(g.edges) + 1)
 
 
@@ -262,15 +262,17 @@ class _LinkState:
     known missing facet, so every clique size m >= r+1 takes one path.
     A search carries U as ``bits``, its vertices as single-bit ints, and
     ``keys``, the flat list of U's (r-1)-subsets, with their planes
-    ``vals``.  At most C(n, m) tuples meet any graph, so only when that
+    ``vals``.  For r >= 2 a vertex firing with e lies in e's first or last
+    plane, as it misses one at most, so no mask is wider than the edges'
+    vertices.  At most C(n, m) tuples meet any graph, so only when that
     exceeds ``budget`` does :meth:`add` count them: ``touched``, the
     distinct m-tuples meeting the graph, and ``covered`` stay 0 otherwise,
     and past ``budget`` :meth:`add` raises TupleBudgetExceeded.
     """
 
     def __init__(self, n: int, r: int, m: int, budget: int) -> None:
-        self.r, self.m, self.budget = r, m, budget
-        self.full = (1 << n) - 1
+        self.n, self.r, self.m, self.budget = n, r, m, budget
+        self.every = (1 << n) - 1 if r == 1 else 0  # r = 1: the one plane is the infected set
         self.link: dict[int, int] = {}
         self.counting = _comb_over(n, m, budget)  # whether the cap can bind
         self.touched = 0
@@ -285,14 +287,15 @@ class _LinkState:
         """Enter each edge of ``level`` in ``link``; if the cap can bind, count first the
         tuples it newly meets."""
         link, counting = self.link, self.counting
-        full, k, count = self.full, self.m - self.r, self._count
+        n, k, count = self.n, self.m - self.r, self._count
         for bits, keys in level:
             if counting:
                 f = sum(bits)
-                self.touched += count(bits, keys, [link.get(x, 0) for x in keys], full & ~f, k)
+                covered = self.covered = self.covered | f
+                vals = [link.get(x, 0) for x in keys]
+                self.touched += count(bits, keys, vals, covered & ~f, n - covered.bit_count(), k)
                 if self.touched > self.budget:
                     raise _over_budget(self.budget)
-                self.covered |= f
             for b, x in zip(bits, keys):
                 link[x] = link.get(x, 0) | b
 
@@ -301,10 +304,11 @@ class _LinkState:
 
         ``level`` is in ``link``.  ``new[S]`` gathers each v with S | {v} fired; one facet
         can be gathered under several S, so its mask is kept once before it is converted."""
-        link, full, k, fire = self.link, self.full, self.m - self.r, self._fire
+        link, every, k, fire = self.link, self.every, self.m - self.r, self._fire
         new: dict[int, int] = {}
         for bits, keys in level:
-            fire(bits, keys, [link[x] for x in keys], full & ~sum(bits), k, None, new)
+            vals = [link[x] for x in keys]
+            fire(bits, keys, vals, (every | vals[0] | vals[-1]) & ~sum(bits), k, None, new)
         fired = {}
         for f in {key | b for key, plane in new.items() for b in _bits(plane)}:
             bits = _bits(f)
@@ -326,23 +330,22 @@ class _LinkState:
         new = [b + sum(c) for c in itertools.combinations(bits, self.r - 2)] if self.r > 1 else []
         return bits + [b], keys + new, vals + [self.link.get(x, 0) for x in new]
 
-    def _count(self, bits: list[int], keys: list[int], vals: list[int], cand: int, k: int) -> int:
-        """Tuples U | A, A k vertices from ``cand``, with no infected facet meeting A.
+    def _count(self, bits: list[int], keys: list[int], vals: list[int], cand: int, free: int,
+               k: int) -> int:
+        """Tuples U | A, A k of ``cand`` and ``free`` others, with no infected facet meeting A.
 
-        A free candidate, one outside ``covered``, lies in no infected facet,
-        so only covered candidates are branched on, least first: A avoids
-        them in comb(|free|, k) ways, or its least covered vertex b joins U
-        and the other k - 1 come from the candidates above b and the free ones.
+        ``cand`` lies in ``covered``, as every plane does; the ``free`` candidates lie in no
+        infected facet, so only ``cand`` is branched on, least first: A avoids it in
+        comb(free, k) ways, or its least vertex b joins U, with the other k - 1 above b or free.
         """
         for v in vals:
             cand &= ~v
         if k == 1:
-            return cand.bit_count()
-        free = cand & ~self.covered
-        later = _bits(cand & self.covered)
-        return comb(free.bit_count(), k) + sum(  # b needs k - 1 others above it or free
-            self._count(*self._grow(bits, keys, vals, b), (cand & -(b << 1)) | free, k - 1)
-            for b in later[: max(len(later) + free.bit_count() - k + 1, 0)]
+            return cand.bit_count() + free
+        later = _bits(cand)
+        return comb(free, k) + sum(  # b needs k - 1 others above it or free
+            self._count(*self._grow(bits, keys, vals, b), cand & -(b << 1), free, k - 1)
+            for b in later[: max(len(later) + free - k + 1, 0)]
         )
 
     def _fire(
@@ -393,6 +396,4 @@ def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None
     """
     m = _check_m(g0, m)
     budget = _budget(g0, m, max_tuples)
-    # no state, so no mask of n bits, when idle: it would count one tuple at most, which
-    # _budget has let through
     return _result(g0, [] if _idle(g0, m) else _LinkState(g0.n, g0.r, m, budget).run(g0.edges))

@@ -155,20 +155,20 @@ def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:
     """Maximum spanned-facet count over (r+1)-tuples meeting the graph.
 
     Returns the maximum together with the lexicographically smallest
-    witness tuple attaining it (None on an empty graph).  Per edge f,
-    ``levels[j]`` holds the vertices outside f in at least j of its
-    planes, so the top non-empty level gives f's largest count and its
-    lowest vertex the smallest tuple through f that attains it.
+    witness tuple attaining it (None when no tuple meets the graph).  Per
+    edge f, ``levels[j]`` holds the vertices outside f in at least j of
+    its planes, so the top non-empty level gives f's largest count and its
+    lowest vertex the smallest tuple through f that attains it.  Level 0
+    is ``~f``, read alone only for its lowest vertex, below n when n > r.
     """
-    full, best = (1 << g.n) - 1, (0, None)
-    for f, planes in _edge_planes(g):
-        levels = [full & ~f] + [0] * len(planes)
+    best = (0, None)
+    for f, planes in _edge_planes(g) if g.n > g.r else ():  # else no vertex lies outside f
+        levels = [~f] + [0] * len(planes)
         for p in planes:
             for j in range(len(planes), 0, -1):
                 levels[j] |= levels[j - 1] & p
         top = sum(map(bool, levels))  # the levels nest, so the non-empty ones come first
-        if top:  # 0 only when no vertex lies outside f, at n = r
-            best = min(best, (-top, _vertices(f | levels[top - 1] & -levels[top - 1])))
+        best = min(best, (-top, _vertices(f | levels[top - 1] & -levels[top - 1])))
     return -best[0], best[1]
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -570,3 +574,18 @@ class TestArgumentFuzz:
             argv = ["run", "--in", str(path), "--m", m, "--engine", engine]
             code = assert_bounded_exit(argv, capsys)
             assert code == 3 if m in ("1000000", str(n // 2)) else code in (0, 2, 3), m[:20]
+
+    @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 2]], ids=["r2", "r3"])
+    def test_run_huge_vertex_count_under_an_admitting_cap(self, edge, tmp_path):
+        # one edge on low ids of 10^12 vertices: no mask is as wide as n (125 GB), so each
+        # run ends at once in a child process whose address space is capped at 1 GiB
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**ONE_EDGE, "r": len(edge), "n": 10**12, "edges": [edge]}))
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                 "from bootperc.cli import main; sys.exit(main())")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for m in (len(edge) + 1, len(edge) + 2):
+            argv = ["run", "--in", str(path), "--m", str(m), "--max-tuples", str(10**30)]
+            out = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                                 text=True, timeout=2, env=env)
+            assert (out.returncode, out.stdout, out.stderr) == (0, "T=0\n", ""), m

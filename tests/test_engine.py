@@ -13,6 +13,7 @@ from bootperc import (
     TupleBudgetExceeded,
     build_base,
     build_full,
+    check_density,
     full_running_time,
     predicted_base_edge,
     run_fast,
@@ -187,7 +188,8 @@ class TestRunFast:
             run_fast(g, m=m, max_tuples=len(touched) - 1)
 
     def test_huge_vertex_count_is_refused_before_any_mask(self):
-        # C(10^9 - 3, 1) tuples meet the one edge; a 10^9-bit mask would take 125 MB
+        # C(10^9 - 3, 1) tuples meet the one edge, refused before its link keys, 10^9 bits
+        # (125 MB) wide each, are built
         g = Hypergraph.from_edges(10**9, 3, [(0, 5, 10**9 - 1)])
         tracemalloc.start()
         try:
@@ -197,6 +199,23 @@ class TestRunFast:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_huge_vertex_count_admitted_by_the_cap_builds_no_mask_of_n_bits(self):
+        # masks are as wide as the edges' vertices: a mask of all 10^8 vertices takes 12.5 MB
+        n, cap = 10**8, 10**30
+        g = Hypergraph.from_edges(n, 3, [(0, 5, 9)])
+
+        def run_all():
+            for m in (4, 5):
+                assert run_fast(g, m=m, max_tuples=cap).running_time == 0
+                state = _LinkState(n, 3, m, cap)
+                state.add(_level(g.edges))
+                assert state.counting and state.touched == comb(n - 3, m - 3)
+            return check_density(g)
+
+        density, peak = peak_traced_bytes(run_all)
+        assert density == (1, (0, 1, 5, 9))
         assert peak < 10**6
 
     @pytest.mark.parametrize("r, m", [(1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
