@@ -17,8 +17,9 @@ Sequences are generated from closed forms, never by running the
 engine, so an engine replay is an independent check of both.
 
 Ids are layer-major and each apex is its stage's largest vertex, so the
-generators build sorted tuples and check none: :meth:`Hypergraph.from_edges`
-checks the edges each stage builds and :class:`SequentialCertificate` its sequence.
+generators build sorted tuples in range and check none: the test suite
+checks every stage's graph with the checking :class:`Hypergraph` constructor,
+and :class:`SequentialCertificate` checks its own sequence whenever one is made.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def build_base(k: int) -> SequentialCertificate:
     t1 = base_running_time(k)
     sequence = (ignition,) + tuple(predicted_base_edge(k, i) for i in range(1, t1 + 1))
     return SequentialCertificate(
-        graph=Hypergraph.from_edges(n, 3, edges),
+        graph=Hypergraph._trusted(n, 3, frozenset(edges)),
         ignition=ignition,
         sequence=sequence,
         r=3,
@@ -255,9 +256,9 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
     stubs = [edge[:-1] for edge in cert.sequence]
     first_stub, last_stub = stubs[0], stubs[-1]
     graph_stubs = [e[:-1] for e in cert.graph.edges if e[-1] == apex and e != cert.ignition]
-
-    kept = frozenset(e for e in cert.graph.edges if e[-1] != apex) | {cert.ignition}
-    edges: set[Edge] = set()
+    # the edges kept as they are, most of the glued graph, stream into it without a copy
+    kept = (e for e in cert.graph.edges if e[-1] != apex or e == cert.ignition)
+    edges: set[Edge] = set()  # the bridges and the copies
     for j in range(1, k):
         edges |= _bridge_gadget(
             (top(4 * j - 3), top(4 * j - 2), top(4 * j - 1)), last_stub, r
@@ -281,7 +282,7 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
 
     predicted = copies * cert.predicted_t + 4 * (k - 1)
     return SequentialCertificate(
-        graph=Hypergraph._trusted(r * w, r, kept | Hypergraph.from_edges(r * w, r, edges).edges),
+        graph=Hypergraph._trusted(r * w, r, frozenset(itertools.chain(kept, edges))),
         ignition=cert.ignition,
         sequence=tuple(sequence),
         r=r,
@@ -306,11 +307,11 @@ def lift(cert: SequentialCertificate) -> SequentialCertificate:
         raise CertificateError(f"expected {r} full layers (n = {r * w})")
     old_n = cert.graph.n
     apex = old_n
-    edges = {e + (apex,) for e in cert.graph.edges}
-    edges |= set(itertools.combinations(range(old_n), r + 1))
+    edges = frozenset(itertools.chain(
+        (e + (apex,) for e in cert.graph.edges), itertools.combinations(range(old_n), r + 1)))
     sequence = tuple(e + (apex,) for e in cert.sequence)
     return SequentialCertificate(
-        graph=Hypergraph.from_edges(old_n + 1, r + 1, edges),
+        graph=Hypergraph._trusted(old_n + 1, r + 1, edges),
         ignition=cert.ignition + (apex,),
         sequence=sequence,
         r=r + 1,

@@ -34,6 +34,10 @@ masks count the tuples meeting the graph only when C(n, m) exceeds the
 cap: no graph meets more, so a larger cap cannot bind.  Past a cap
 both raise TupleBudgetExceeded("more than N distinct m-tuples meet the
 infected graph"), naming no option: the CLI adds which one to change.
+:func:`run_naive` also stops before a generation whose recount would
+take the tuples it has recounted in all past DEFAULT_MAX_TUPLES ("the
+naive engine's recounts would pass N m-tuples"); verify's recounts
+carry no such bound, since no option could raise it.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ _Level = Iterable[tuple[list[int], list[int]]]  # per edge: its vertex bits, its
 
 
 class TupleBudgetExceeded(RuntimeError):
-    """More distinct m-tuples meet the fast engine's infected graph than the cap allows."""
+    """More m-tuples than a cap allows meet the infected graph, or the naive engine recounts."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,8 @@ def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:
 
 
 def _naive_generations(
-    n: int, r: int, m: int, infected: set[Edge] | frozenset[Edge], frontier: Collection[Edge]
+    n: int, r: int, m: int, infected: set[Edge] | frozenset[Edge], frontier: Collection[Edge],
+    budget: int | None = None,
 ) -> Iterator[frozenset[Edge]]:
     """Yield each generation's new edges, added to ``infected`` (after the generation, so
     a frozenset, untouched, serves a caller that reads only the first), recounting the
@@ -150,13 +155,18 @@ def _naive_generations(
     edges (first ``frontier``), those through the uninfected edges (a set built
     the first time it is used), or all C(n, m) tuples.  A first ``frontier``
     smaller than ``infected`` is exact when every m-tuple that fires first
-    contains one of its edges."""
+    contains one of its edges.  Given a ``budget``, a generation whose recount
+    would take the tuples recounted so far past it raises TupleBudgetExceeded."""
     if not frontier or m > n:  # nothing fires; C(n, r) alone takes seconds at huge n and r
         return
     total, sweep, per_edge = comb(n, r), comb(n, m), comb(n - r, m - r)
     uninfected: set[Edge] | None = None
+    recounted = 0
     while frontier:
         fewer = min(len(frontier), total - len(infected))
+        recounted += min(sweep, fewer * per_edge)  # the side chosen below has that many
+        if budget is not None and recounted > budget:
+            raise TupleBudgetExceeded(f"the naive engine's recounts would pass {budget} m-tuples")
         if sweep <= fewer * per_edge:
             tuples = itertools.combinations(range(n), m)
         else:
@@ -180,12 +190,13 @@ def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     """Iterate synchronous generations until stationary, recounting the cheapest side each time.
 
     The first side is all of g0.  A graph is refused as :func:`run_fast` refuses it under the
-    default cap: when one edge alone meets more than DEFAULT_MAX_TUPLES m-tuples.
+    default cap: when one edge alone meets more than DEFAULT_MAX_TUPLES m-tuples.  The run
+    stops with TupleBudgetExceeded before a generation that would take the tuples it has
+    recounted in all past DEFAULT_MAX_TUPLES.
     """
     m = _check_m(g0, m)
-    _budget(g0, m, None)
-    steps = [] if _idle(g0, m) else _naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges)
-    return _result(g0, list(steps))
+    steps = _naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges, _budget(g0, m, None))
+    return _result(g0, [] if _idle(g0, m) else list(steps))
 
 
 def _bits(x: int) -> list[int]:

@@ -361,7 +361,7 @@ def brute_force_max_time(
             f"(2^{num_edges} initial graphs)"
         )
     if r == n:  # one edge and no (r+1)-tuple: nothing fires, so build neither
-        return BruteForceResult(max_t=0, witness=Hypergraph.from_edges(n, r, []), searched=2)
+        return BruteForceResult(max_t=0, witness=Hypergraph._trusted(n, r, frozenset()), searched=2)
     c = min(_CHUNK_BITS, num_edges)
     chunks = 1 << (num_edges - c)
     jobs = min(jobs, chunks)  # every range below is then non-empty
@@ -379,9 +379,9 @@ def brute_force_max_time(
         if t > best_t or (t == best_t and mask < best_mask):
             best_t, best_mask = t, mask
     edges = list(itertools.combinations(range(n), r))
-    witness_edges = [edges[i] for i in range(num_edges) if best_mask >> i & 1]
+    witness_edges = frozenset(edges[i] for i in range(num_edges) if best_mask >> i & 1)
     return BruteForceResult(
         max_t=best_t,
-        witness=Hypergraph.from_edges(n, r, witness_edges),
+        witness=Hypergraph._trusted(n, r, witness_edges),
         searched=1 << num_edges,
     )

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -574,6 +575,15 @@ class TestArgumentFuzz:
             argv = ["run", "--in", str(path), "--m", m, "--engine", engine]
             code = assert_bounded_exit(argv, capsys)
             assert code == 3 if m in ("1000000", str(n // 2)) else code in (0, 2, 3), m[:20]
+
+    def test_run_naive_bounds_its_total_recount(self, tmp_path, capsys):
+        # each edge alone meets C(304, 3) 6-tuples, under the cap; the first generation
+        # would recount 25 times that, 116M tuples, so the naive run is refused at once
+        path = tmp_path / "graph.json"
+        edges = [list(e) for e in itertools.combinations(range(7), 3)][:25]
+        path.write_text(json.dumps({**ONE_EDGE, "r": 3, "n": 307, "edges": edges}))
+        argv = ["run", "--in", str(path), "--engine", "naive", "--m", "6"]
+        assert assert_bounded_exit(argv, capsys) == 3
 
     @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 2]], ids=["r2", "r3"])
     def test_run_huge_vertex_count_under_an_admitting_cap(self, edge, tmp_path):

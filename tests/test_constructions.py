@@ -453,7 +453,7 @@ def count_edge_checks(monkeypatch) -> list[int]:
 
 
 class TestCanonicalConstruction:
-    @pytest.mark.parametrize("r,k", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2)])
+    @pytest.mark.parametrize("r,k", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2), (6, 2)])
     def test_every_stage_is_canonical(self, r, k):
         certs = stages(r, k)
         for cert in certs:
@@ -465,16 +465,21 @@ class TestCanonicalConstruction:
         assert certs[-1] == build_full(r, k)
 
     def test_build_full_checks_each_edge_once(self, monkeypatch):
-        limit = sum(len(c.graph) + len(c.sequence) for c in stages(4, 3))
+        # only each stage's sequence, 1,508 edges; 20,052 while every stage checked its graph
+        sequences = sum(len(c.sequence) for c in stages(4, 3))
+        assert sequences == 1_508
         checked = count_edge_checks(monkeypatch)
         build_full(4, 3)
-        assert 0 < checked[0] <= limit
+        assert checked[0] == sequences
 
     def test_glue_checks_only_the_edges_it_builds(self, monkeypatch):
-        # 40,770 edges checked while glue re-checked the C(20, 5) = 15,504 tuples of the last lift
+        # only each stage's sequence, 722 edges; 23,886 while every stage checked its graph,
+        # and 40,770 while glue re-checked the C(20, 5) = 15,504 tuples of the last lift
+        sequences = sum(len(c.sequence) for c in stages(5, 2))
+        assert sequences == 722
         checked = count_edge_checks(monkeypatch)
         build_full(5, 2)
-        assert 0 < checked[0] <= 25_266
+        assert checked[0] == sequences
 
 
 def test_scaffold_is_apex_free_and_strip_is_path_local():

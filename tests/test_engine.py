@@ -14,6 +14,7 @@ from bootperc import (
     build_base,
     build_full,
     check_density,
+    engine,
     full_running_time,
     predicted_base_edge,
     run_fast,
@@ -154,6 +155,33 @@ class TestRunNaive:
             tracemalloc.stop()
         assert res.running_time == 0
         assert peak < 10**6
+
+    def test_total_recount_is_bounded(self):
+        # each edge meets C(304, 3) = 4,637,504 6-tuples, under the cap, but the first
+        # generation would recount 25 times that: unbounded, the run took over a minute
+        g = Hypergraph.from_edges(307, 3, list(itertools.combinations(range(7), 3))[:25])
+        assert comb(304, 3) <= DEFAULT_MAX_TUPLES < 25 * comb(304, 3)
+        with deadline(1), pytest.raises(TupleBudgetExceeded, match="naive engine's recounts"):
+            run_naive(g, m=6)
+
+    def test_recount_budget_counts_the_tuples_recounted(self, monkeypatch):
+        # a budget of exactly the tuples the whole run recounts, on each side it takes (one
+        # generation sweeps all C(100, 3)), lets it end; one less stops it
+        g = random_hypergraph(random.Random(5), 100, 2, 0.03)
+        recounted, recount = [0], engine._recount
+
+        def counting(tuples, r, present):
+            tuples = list(tuples)
+            recounted[0] += len(tuples)
+            return recount(tuples, r, present)
+
+        monkeypatch.setattr(engine, "_recount", counting)
+        steps = list(_naive_generations(g.n, g.r, 3, set(g.edges), g.edges))
+        spent = recounted[0]
+        assert len(steps) > 1 and spent > comb(100, 3)
+        assert list(_naive_generations(g.n, g.r, 3, set(g.edges), g.edges, spent)) == steps
+        with pytest.raises(TupleBudgetExceeded):
+            list(_naive_generations(g.n, g.r, 3, set(g.edges), g.edges, spent - 1))
 
     def test_dense_generations_recount_through_the_uninfected_edges(self, monkeypatch):
         # through each generation's frontier alone this run recounts 410,326 tuples
