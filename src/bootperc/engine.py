@@ -25,8 +25,9 @@ Two engines produce identical per-step traces:
 
 The two share no update code.  :func:`step`, the definitional sweep of
 ``_recount`` over all C(n, m) tuples, is the slow reference both are
-tested against.  ``verify`` recounts with ``_naive_generations`` and
-replays several starts from one seeded ``_LinkState``.  ``_budget``
+tested against.  ``verify`` recounts with ``_naive_generations``,
+replays several starts from one seeded ``_LinkState`` and reads the
+planes of another for density and census.  ``_budget``
 refuses, for both engines, a graph one of whose edges alone meets more
 m-tuples than the cap, and ``_idle`` answers at once an empty graph or
 one too sparse to fire the one m-tuple of m >= n vertices.  The link
@@ -275,15 +276,16 @@ class _LinkState:
     ``keys``, the flat list of U's (r-1)-subsets, with their planes
     ``vals``.  For r >= 2 a vertex firing with e lies in e's first or last
     plane, as it misses one at most, so no mask is wider than the edges'
-    vertices.  At most C(n, m) tuples meet any graph, so only when that
-    exceeds ``budget`` does :meth:`add` count them: ``touched``, the
-    distinct m-tuples meeting the graph, and ``covered`` stay 0 otherwise,
-    and past ``budget`` :meth:`add` raises TupleBudgetExceeded.
+    vertices; only r = 1, whose one plane is the infected set, takes every
+    vertex, and only in :meth:`fire`.  At most C(n, m) tuples meet any
+    graph, so only when that exceeds ``budget`` does :meth:`add` count
+    them: ``touched``, the distinct m-tuples meeting the graph, and
+    ``covered`` stay 0 otherwise, and past ``budget`` :meth:`add` raises
+    TupleBudgetExceeded.
     """
 
     def __init__(self, n: int, r: int, m: int, budget: int) -> None:
         self.n, self.r, self.m, self.budget = n, r, m, budget
-        self.every = (1 << n) - 1 if r == 1 else 0  # r = 1: the one plane is the infected set
         self.link: dict[int, int] = {}
         self.counting = _comb_over(n, m, budget)  # whether the cap can bind
         self.touched = 0
@@ -315,7 +317,8 @@ class _LinkState:
 
         ``level`` is in ``link``.  ``new[S]`` gathers each v with S | {v} fired; one facet
         can be gathered under several S, so its mask is kept once before it is converted."""
-        link, every, k, fire = self.link, self.every, self.m - self.r, self._fire
+        link, k, fire = self.link, self.m - self.r, self._fire
+        every = (1 << self.n) - 1 if self.r == 1 else 0  # r = 1: the one plane is the infected set
         new: dict[int, int] = {}
         for bits, keys in level:
             vals = [link[x] for x in keys]

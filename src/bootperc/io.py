@@ -274,7 +274,9 @@ def _graph_document(data: dict[str, Any]) -> GraphDocument:
 def _graph_fields(data: dict[str, Any]) -> tuple[Hypergraph, int | None, Labels | None]:
     """The graph, k and labels every document has, ``format_version`` to ``edges``.
 
-    Every edge is checked here, so the graph takes them unchecked.
+    Every edge is checked here, so the graph takes them unchecked.  The
+    edge list is taken out of ``data``, so the decoded lists are freed
+    once they are converted.
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -285,7 +287,7 @@ def _graph_fields(data: dict[str, Any]) -> tuple[Hypergraph, int | None, Labels 
         raise DocumentError("schema", f"invalid r={r} or n={n}")
     k = _require_int(data, "k") if "k" in data else None
     labels = _parse_labels(data["labels"]) if "labels" in data else None
-    edges = _parse_edge_list(data["edges"], r, n)
+    edges = _parse_edge_list(data.pop("edges"), r, n)
     return Hypergraph._trusted(n, r, frozenset(edges)), k, labels
 
 
@@ -301,7 +303,9 @@ def read_document(text: str) -> GraphDocument | CertificateDocument:
 
 
 def _certificate(data: dict[str, Any]) -> CertificateDocument:
-    """Validate an already decoded certificate document, building its certificate once."""
+    """Validate an already decoded certificate document, building its certificate once.
+
+    The edge and sequence lists are taken out of ``data`` as they are converted."""
     _check_keys(
         data,
         required={"format_version", "r", "n", "k", "edges", "ignition", "sequence", "predicted_t"},
@@ -310,7 +314,7 @@ def _certificate(data: dict[str, Any]) -> CertificateDocument:
     graph, k, labels = _graph_fields(data)
     r, n = graph.r, graph.n
     ignition = _parse_edge(data["ignition"], r, n)
-    sequence = _parse_edges(data["sequence"], r, n, "sequence")
+    sequence = _parse_edges(data.pop("sequence"), r, n, "sequence")
     predicted_t = _require_int(data, "predicted_t")
     apex = _require_int(data, "apex") if "apex" in data else None
     try:

@@ -18,11 +18,12 @@ worker processes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph
@@ -140,15 +141,14 @@ def _edge_planes(g: Hypergraph) -> Iterator[tuple[int, list[int]]]:
     """Each edge's vertex mask f with the link planes of its (r-1)-subsets.
 
     The plane of an (r-1)-set S has bit v set when S | {v} is an edge; the
-    graph's planes are built once, and a tuple f | {v} with v outside f
-    spans one facet for f and one for each plane of f that holds v.
+    graph's planes are entered once in a link state, and a tuple f | {v}
+    with v outside f spans one facet for f and one for each plane of f
+    that holds v.
     """
-    link: dict[int, int] = {}
+    state = _LinkState(g.n, g.r, g.r + 1, inf)  # no cap binds, so no tuple is counted
+    state.add(_level(g.edges))
     for bits, keys in _level(g.edges):
-        for b, x in zip(bits, keys):
-            link[x] = link.get(x, 0) | b
-    for bits, keys in _level(g.edges):
-        yield sum(bits), [link[x] for x in keys]
+        yield sum(bits), [state.link[x] for x in keys]
 
 
 def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:
@@ -311,22 +311,15 @@ def _generations(
         fresh = new
 
 
-def _scan_chunks(args: tuple[int, int, int, int, int]) -> tuple[int, int]:
-    """Evaluate chunks [lo, hi) of 2^c masks; return (local max T, smallest mask attaining it)."""
-    r, n, c, lo, hi = args
-    num_edges = comb(n, r)
-    tuples = _tuple_facets(r, n)
-    full = (1 << (1 << c)) - 1
-    best_t, best_mask = -1, -1
-    for chunk in range(lo, hi):
-        base = chunk << c
-        x = _chunk_planes(base, c, num_edges)
-        t, last = 0, full  # with no generation, every mask of the chunk has T = 0
-        for t, (activity, _) in enumerate(_generations(x, tuples, full, base), 1):
-            last = activity
-        if t > best_t:
-            best_t, best_mask = t, base + (last & -last).bit_length() - 1
-    return best_t, best_mask
+def _scan_chunk(tuples: list[tuple[int, ...]], c: int, num_edges: int,
+                chunk: int) -> tuple[int, int]:
+    """Evaluate one chunk of 2^c masks; return (its max T, smallest mask attaining it)."""
+    base, full = chunk << c, (1 << (1 << c)) - 1
+    x = _chunk_planes(base, c, num_edges)
+    t, last = 0, full  # with no generation, every mask of the chunk has T = 0
+    for t, (activity, _) in enumerate(_generations(x, tuples, full, base), 1):
+        last = activity
+    return t, base + (last & -last).bit_length() - 1
 
 
 def brute_force_max_time(
@@ -337,11 +330,12 @@ def brute_force_max_time(
     Masks are enumerated in ascending numeric order over the canonical
     (lexicographic) edge list; ties resolve to the smallest mask.  The
     mask space is cut into aligned chunks of 2^min(16, C(n,r)) masks,
-    evaluated bit-sliced; with jobs > 1 the chunks are split into
-    contiguous ranges whose local results merge by (max T, then smallest
-    mask), so the outcome is independent of the worker count.  At most
-    min(jobs, chunks, CPUs) worker processes are started, and none for
-    a single range.
+    each evaluated bit-sliced to its (max T, smallest mask).  Those
+    results merge by (max T, then smallest mask) as they arrive, so the
+    outcome is independent of the worker count.  With jobs > 1 the
+    chunks go out as at most ``jobs`` contiguous runs of ceil(chunks /
+    jobs) chunks to at most min(jobs, chunks, CPUs) worker processes;
+    none is started when that bound is 1.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -364,24 +358,20 @@ def brute_force_max_time(
         return BruteForceResult(max_t=0, witness=Hypergraph._trusted(n, r, frozenset()), searched=2)
     c = min(_CHUNK_BITS, num_edges)
     chunks = 1 << (num_edges - c)
-    jobs = min(jobs, chunks)  # every range below is then non-empty
-    ranges = [(r, n, c, chunks * i // jobs, chunks * (i + 1) // jobs) for i in range(jobs)]
-    workers = min(jobs, os.cpu_count() or 1)
+    scan = functools.partial(_scan_chunk, _tuple_facets(r, n), c, num_edges)
+    workers = min(jobs, chunks, os.cpu_count() or 1)
+    rank = lambda result: (result[0], -result[1])  # max T, then smallest mask
     if workers == 1:
-        results = [_scan_chunks(span) for span in ranges]
+        best_t, best_mask = max(map(scan, range(chunks)), key=rank)
     else:
         from concurrent.futures import ProcessPoolExecutor  # one worker needs no pool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunks, ranges))
-    best_t, best_mask = -1, -1
-    for t, mask in results:
-        if t > best_t or (t == best_t and mask < best_mask):
-            best_t, best_mask = t, mask
-    edges = list(itertools.combinations(range(n), r))
-    witness_edges = frozenset(edges[i] for i in range(num_edges) if best_mask >> i & 1)
+            results = pool.map(scan, range(chunks), chunksize=-(-chunks // jobs))
+            best_t, best_mask = max(results, key=rank)
+    edges = enumerate(itertools.combinations(range(n), r))
     return BruteForceResult(
         max_t=best_t,
-        witness=Hypergraph._trusted(n, r, witness_edges),
+        witness=Hypergraph._trusted(n, r, frozenset(e for i, e in edges if best_mask >> i & 1)),
         searched=1 << num_edges,
     )

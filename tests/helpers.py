@@ -230,18 +230,28 @@ class Overran(BaseException):
 
 @contextmanager
 def deadline(seconds: float):
-    """Raise Overran in the main thread once ``seconds`` of wall time have passed."""
+    """Fail the calling test once ``seconds`` of wall time have passed.
+
+    The alarm raises Overran wherever the main thread is, and that frame may have no
+    line number, which pytest cannot render: a traceback through it ends the whole run
+    in INTERNALERROR.  So the overrun fails the test with its message and no traceback.
+    """
 
     def expire(signum, frame):
         raise Overran(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
+    overran = None
     try:
         yield
+    except Overran as exc:
+        overran = str(exc)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    if overran is not None:
+        pytest.fail(overran, pytrace=False)
 
 
 # ---------------------------------------------------------------------------

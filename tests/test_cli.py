@@ -440,6 +440,17 @@ class TestPlumbing:
     def test_missing_required_flag_exits_two(self):
         assert main(["build", "--r", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["brute", "--r", "3", "--n", "5"], ["brute", "--r", "3", "--n", "7"], ["build", "--r", "3"],
+    ], ids=["ok", "cap", "usage"])
+    def test_module_entry_point_is_main(self, argv, capsys):
+        # ``python -m bootperc.cli`` runs the ``__main__`` block, which exits with main's code
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        child = subprocess.run([sys.executable, "-m", "bootperc.cli", *argv], capture_output=True,
+                               text=True, timeout=30, env=env)
+        code = main(argv)
+        assert (child.returncode, child.stdout, child.stderr) == (code, *capsys.readouterr())
+
 
 READERS = [["run", "--engine", "fast"], ["run", "--engine", "naive"], ["verify"]]
 

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from bootperc import (
     build_base,
     build_full,
     check_density,
+    clique_census,
     engine,
     full_running_time,
     predicted_base_edge,
@@ -164,6 +169,31 @@ class TestRunNaive:
         with deadline(1), pytest.raises(TupleBudgetExceeded, match="naive engine's recounts"):
             run_naive(g, m=6)
 
+    def test_an_overrun_fails_its_own_test(self, tmp_path):
+        # with the total bound lifted, the probe above recounts for over a minute; the alarm
+        # often lands in a frame with no line number, and rendering that traceback ended the
+        # whole run in INTERNALERROR, so an overrun fails its test with its message alone
+        probe = tmp_path / "test_overrun.py"
+        probe.write_text(
+            "import itertools\n"
+            "from bootperc import Hypergraph, engine, run_naive\n"
+            "from helpers import deadline\n\n"
+            "def test_unbounded_recount(monkeypatch):\n"
+            "    monkeypatch.setattr(engine, 'DEFAULT_MAX_TUPLES', 10**12)\n"
+            "    edges = list(itertools.combinations(range(7), 3))[:25]\n"
+            "    with deadline(2):\n"
+            "        run_naive(Hypergraph.from_edges(307, 3, edges), m=6)\n"
+        )
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(probe)],
+            capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+        )
+        assert "INTERNALERROR" not in out.stdout + out.stderr
+        assert out.returncode == 1 and "1 failed" in out.stdout
+        assert "still running after 2 s" in out.stdout and "Overran" not in out.stdout
+
     def test_recount_budget_counts_the_tuples_recounted(self, monkeypatch):
         # a budget of exactly the tuples the whole run recounts, on each side it takes (one
         # generation sweeps all C(100, 3)), lets it end; one less stops it
@@ -230,9 +260,11 @@ class TestRunFast:
         assert peak < 10**6
 
     def test_huge_vertex_count_admitted_by_the_cap_builds_no_mask_of_n_bits(self):
-        # masks are as wide as the edges' vertices: a mask of all 10^8 vertices takes 12.5 MB
+        # masks are as wide as the edges' vertices: a mask of all 10^8 vertices takes 12.5 MB;
+        # at r = 1 only a firing link state needs that mask, as its one plane is the infected set
         n, cap = 10**8, 10**30
         g = Hypergraph.from_edges(n, 3, [(0, 5, 9)])
+        points = Hypergraph.from_edges(n, 1, [(0,), (5,)])
 
         def run_all():
             for m in (4, 5):
@@ -240,10 +272,10 @@ class TestRunFast:
                 state = _LinkState(n, 3, m, cap)
                 state.add(_level(g.edges))
                 assert state.counting and state.touched == comb(n - 3, m - 3)
-            return check_density(g)
+            return check_density(g), check_density(points), clique_census(points)
 
-        density, peak = peak_traced_bytes(run_all)
-        assert density == (1, (0, 1, 5, 9))
+        found, peak = peak_traced_bytes(run_all)
+        assert found == ((1, (0, 1, 5, 9)), (2, (0, 5)), {(0, 5)})
         assert peak < 10**6
 
     @pytest.mark.parametrize("r, m", [(1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])

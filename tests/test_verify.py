@@ -335,8 +335,8 @@ class TestBruteForce:
 
     def test_one_edge_is_answered_without_a_scan(self, monkeypatch):
         # r = n: both masks of the one edge have T = 0, as a scan of them finds
-        assert verify._scan_chunks((4, 4, 1, 0, 1)) == (0, 0)
-        monkeypatch.setattr(verify, "_scan_chunks", None)
+        assert verify._scan_chunk(_tuple_facets(4, 4), 1, 1, 0) == (0, 0)
+        monkeypatch.setattr(verify, "_scan_chunk", None)
         result = brute_force_max_time(4, 4, jobs=8)
         assert (result.max_t, len(result.witness), result.searched) == (0, 0, 2)
 
@@ -361,13 +361,13 @@ class TestBruteForce:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
         expected = brute_force_max_time(3, 5)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-        assert brute_force_max_time(3, 4, jobs=32).max_t == 1  # one chunk, one range
+        assert brute_force_max_time(3, 4, jobs=32).max_t == 1  # one chunk
         assert started == []
         monkeypatch.setattr(verify, "_CHUNK_BITS", 3)  # (3,5) becomes 128 chunks
         for jobs, workers in ((2, 2), (8, 3), (200, 3)):
