@@ -4,10 +4,10 @@ Subcommands: build, run, verify, bounds, brute, check-base.  Human
 output goes to stdout, diagnostics to stderr; machine-readable output
 only via --out/--trace files.  Exit codes: 0 success/verified, 1
 verification or bound check failed, 2 invalid input or arguments, 3
-resource cap exceeded or out of memory, 4 internal inconsistency (two
-engines or update rules that must agree did not, or any other
-unexpected exception: a bug in bootperc, not in the input), reported
-as one stderr line.
+resource cap exceeded, out of memory or a number too large to
+represent, 4 internal inconsistency (two engines or update rules that
+must agree did not, or any other unexpected exception: a bug in
+bootperc, not in the input), reported as one stderr line.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-# the option to change, by (command, engine), when a run meets more m-tuples than its cap
+# the option to change, by (command, engine), when a command's work passes its cap
 _BUDGET_HINTS = {
     ("run", "fast"): "; raise --max-tuples",
     ("run", "naive"): "; use the fast engine with a larger --max-tuples",
     ("verify", None): "; raise --max-tuples",
+    ("brute", None): "; raise --cap",
 }
 
 
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         hint = _BUDGET_HINTS.get((args.command, getattr(args, "engine", None)), "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:  # such as the link keys of a wide edge
+    except (MemoryError, OverflowError):  # such as a wide edge's link keys, or 1 << 10**30
         print("error: out of memory: the input needs more than is available", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # io.DocumentError is a ValueError

@@ -231,10 +231,13 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
     """Chain 2k-1 apex-renamed copies of ``cert`` through bridge gadgets, k = ``cert.k``.
 
     Copy j replaces the apex with the (2j-1)-th vertex of a fresh top
-    layer; copies alternate forward/reverse traversal, joined by a
-    single bridge edge on each even top-layer vertex.  The result has
-    no apex and runs for (2k-1) T + 4(k-1) steps.  A k <= 1 certificate
-    fails the layout check, or the layout leaves it one r-subset and T = 0.
+    layer; copies alternate forward/reverse traversal.  Each bridge
+    continues from its copy's last sequenced edge: that edge's stub and
+    the top-layer vertices 2j-1, 2j and 2j+1 span the bridge gadget, and
+    the stub joined to the even vertex 2j is the one bridge step.  The
+    result has no apex and runs for (2k-1) T + 4(k-1) steps.  A k <= 1
+    certificate fails the layout check, or the layout leaves it one
+    r-subset and T = 0.
     """
     if cert.apex is None:
         raise CertificateError("certificate has no apex; lift before gluing again")
@@ -254,19 +257,10 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
 
     # the apex is the largest vertex and a_j >= apex: stub + (a_j,) stays sorted
     stubs = [edge[:-1] for edge in cert.sequence]
-    first_stub, last_stub = stubs[0], stubs[-1]
     graph_stubs = [e[:-1] for e in cert.graph.edges if e[-1] == apex and e != cert.ignition]
     # the edges kept as they are, most of the glued graph, stream into it without a copy
     kept = (e for e in cert.graph.edges if e[-1] != apex or e == cert.ignition)
     edges: set[Edge] = set()  # the bridges and the copies
-    for j in range(1, k):
-        edges |= _bridge_gadget(
-            (top(4 * j - 3), top(4 * j - 2), top(4 * j - 1)), last_stub, r
-        )
-        edges |= _bridge_gadget(
-            (top(4 * j - 1), top(4 * j), top(4 * j + 1)), first_stub, r
-        )
-
     sequence: list[Edge] = []
     copies = 2 * k - 1
     for j in range(1, copies + 1):
@@ -277,7 +271,8 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
             leg.reverse()
         sequence.extend(leg)
         if j < copies:
-            stub = last_stub if j % 2 == 1 else first_stub
+            stub = leg[-1][:-1]
+            edges |= _bridge_gadget((a_j, top(2 * j), top(2 * j + 1)), stub, r)
             sequence.append(stub + (top(2 * j),))
 
     predicted = copies * cert.predicted_t + 4 * (k - 1)
@@ -324,16 +319,14 @@ def lift(cert: SequentialCertificate) -> SequentialCertificate:
 def build_full(r: int, k: int) -> SequentialCertificate:
     """The terminal r-uniform construction on r(4k-3) vertices.
 
-    Alternates glue and lift starting from the 3-uniform seed, ending
-    with a glue; predicted running time (2k-1)^(r-2) (8k^2-12k+6) - 2.
+    The 3-uniform seed glued, then lifted and glued again r-3 times;
+    predicted running time (2k-1)^(r-2) (8k^2-12k+6) - 2.
     """
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
-    cert = build_base(k)
-    for rho in range(3, r + 1):
-        cert = glue(cert)
-        if rho < r:
-            cert = lift(cert)
+    cert = glue(build_base(k))
+    for _ in range(r - 3):
+        cert = glue(lift(cert))
     return cert
 
 

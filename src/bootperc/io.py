@@ -126,12 +126,13 @@ class CertificateDocument:
 def _emit_document(doc: dict[str, Any]) -> str:
     """Render ``doc`` in key order, leaving out None: a non-empty list one compact item
     per line, any other value (a tuple such as the ignition included) on its key's line.
-    Lists other than the labels hold edges, tuples of plain ints whose text as lists is
-    their JSON."""
+    Lists other than the labels hold edges, tuples of plain ints of one width, each
+    rendered as its JSON list by one ``%d`` format sized from the first."""
     lines = []
     for key, value in doc.items():
         if isinstance(value, list) and value:
-            items = map(json.dumps, value) if key == "labels" else map(str, map(list, value))
+            edge_text = "[" + ", ".join(["%d"] * len(value[0])) + "]"
+            items = map(json.dumps, value) if key == "labels" else map(edge_text.__mod__, value)
             lines.append(f'  "{key}": [\n    ' + ",\n    ".join(items) + "\n  ]")
         elif value is not None:
             lines.append(f'  "{key}": {json.dumps(value)}')

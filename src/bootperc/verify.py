@@ -27,7 +27,7 @@ from math import comb, inf
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph
-from .engine import _bits, _budget, _level, _LinkState, _naive_generations, _vertices
+from .engine import _bits, _budget, _comb_over, _level, _LinkState, _naive_generations, _vertices
 
 __all__ = [
     "VerificationReport",
@@ -119,7 +119,7 @@ def verify_sequential(
     del h  # a copy of the graph; the replays need it only as ``first``
 
     forward = seed.copy().run([cert.ignition], first)
-    if comb(n, r + 1) <= NAIVE_CROSS_CHECK_LIMIT:
+    if not _comb_over(n, r + 1, NAIVE_CROSS_CHECK_LIMIT):
         start = g.edges if fired else [cert.ignition]
         if list(_naive_generations(n, r, r + 1, set(g.edges), start)) != forward:
             raise EngineDisagreement("fast and naive engines diverge on the forward replay")
@@ -335,7 +335,9 @@ def brute_force_max_time(
     outcome is independent of the worker count.  With jobs > 1 the
     chunks go out as at most ``jobs`` contiguous runs of ceil(chunks /
     jobs) chunks to at most min(jobs, chunks, CPUs) worker processes;
-    none is started when that bound is 1.
+    none is started when that bound is 1.  :class:`SearchCapExceeded`
+    when C(n, r) > ``cap``, decided by the engines' ``_comb_over``
+    before C(n, r) is computed.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -345,15 +347,9 @@ def brute_force_max_time(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    # for r < n, C(n, r) >= n and C(n, r) >= 2^min(r, n - r): over the cap without computing it
-    if r < n and (n > cap or min(r, n - r) > cap.bit_length()):
+    if _comb_over(n, r, cap):
         raise SearchCapExceeded(f"C({n},{r}) exceeds the cap of {cap} edges")
     num_edges = comb(n, r)
-    if num_edges > cap:
-        raise SearchCapExceeded(
-            f"C({n},{r}) = {num_edges} exceeds the cap of {cap} edges "
-            f"(2^{num_edges} initial graphs)"
-        )
     if r == n:  # one edge and no (r+1)-tuple: nothing fires, so build neither
         return BruteForceResult(max_t=0, witness=Hypergraph._trusted(n, r, frozenset()), searched=2)
     c = min(_CHUNK_BITS, num_edges)

@@ -186,6 +186,10 @@ class TestBudgetHints:
             "", f"error: more than 5 distinct m-tuples meet the infected graph{hint}\n"
         )
 
+    def test_brute_over_cap_line(self, capsys):
+        assert main(["brute", "--r", "3", "--n", "8"]) == 3
+        assert capsys.readouterr() == ("", "error: C(8,3) exceeds the cap of 24 edges; raise --cap\n")
+
 
 class TestVerify:
     def test_valid_certificate(self, base_cert_file, capsys):
@@ -351,16 +355,17 @@ class TestInternalInconsistency:
     def test_out_of_memory_is_a_resource_error(
         self, base_cert_file, capsys, monkeypatch, module, name, command
     ):
-        # as a huge n's n-bit mask would raise; nothing that large is asked for here
-        def exhausted(*args, **kwargs):
-            raise MemoryError
+        # as a huge n's n-bit mask, or 1 << 10**30, would raise; nothing that large is asked
+        for error in (MemoryError, OverflowError):
+            def exhausted(*args, **kwargs):
+                raise error
 
-        monkeypatch.setattr(module, name, exhausted)
-        assert main([command, "--in", str(base_cert_file)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: out of memory")
-        assert captured.err.count("\n") == 1
+            monkeypatch.setattr(module, name, exhausted)
+            assert main([command, "--in", str(base_cert_file)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: out of memory")
+            assert captured.err.count("\n") == 1
 
     def test_verify_link_state_and_recount_disagree(self, base_cert_file, capsys, monkeypatch):
         inject_headless_fire(monkeypatch, (0, 1, 2))
@@ -570,9 +575,12 @@ class TestArgumentFuzz:
         ids=short_id,
     )
     def test_brute(self, r, n, capsys):
-        # at most C(5, 2) = 10 edges get past the cap: one chunk, so a huge --jobs starts no pool
-        for jobs in ["-3", "0", "1", HUGE]:
+        # at most C(5, 2) = 10 edges get past the default cap: one chunk, so a huge --jobs
+        # starts no pool; a WIDE cap also admits C(10^18, r) edges, whose chunk count is a
+        # number too large to represent
+        for jobs, cap in itertools.product(["-3", "0", "1", HUGE], [None, WIDE]):
             argv = ["brute", "--r", r, "--n", n, "--jobs", jobs]
+            argv += [] if cap is None else ["--cap", cap]
             assert assert_bounded_exit(argv, capsys) in (0, 2, 3)
 
     @pytest.mark.parametrize("n", [10**12, int(WIDE)], ids=["1e12", "wide"])
@@ -586,6 +594,14 @@ class TestArgumentFuzz:
             argv = ["run", "--in", str(path), "--m", m, "--engine", engine]
             code = assert_bounded_exit(argv, capsys)
             assert code == 3 if m in ("1000000", str(n // 2)) else code in (0, 2, 3), m[:20]
+
+    def test_run_wide_edge_under_a_wide_cap(self, tmp_path, capsys):
+        # the cap admits the one edge's tuples, whose masks are too large to represent
+        n = int(WIDE)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**ONE_EDGE, "n": n, "edges": [[n - 2, n - 1]]}))
+        argv = ["run", "--in", str(path), "--max-tuples", WIDE]
+        assert assert_bounded_exit(argv, capsys) == 3
 
     def test_run_naive_bounds_its_total_recount(self, tmp_path, capsys):
         # each edge alone meets C(304, 3) 6-tuples, under the cap; the first generation

@@ -28,7 +28,7 @@ from bootperc import (
     verify_sequential,
 )
 from bootperc.core import supersets
-from bootperc.engine import DEFAULT_MAX_TUPLES, _level, _LinkState, _naive_generations
+from bootperc.engine import DEFAULT_MAX_TUPLES, _comb_over, _level, _LinkState, _naive_generations
 
 from helpers import (
     count_supersets,
@@ -327,6 +327,29 @@ class TestRunFast:
             assert run_fast(g, m=36, max_tuples=touched).running_time == 0
             with pytest.raises(TupleBudgetExceeded):
                 run_fast(g, m=36, max_tuples=touched - 1)
+
+
+class TestCombOver:
+    """The one test of C(n, k) against a cap, for the engines and the oracle alike."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(0, 40), k=st.integers(0, 45), data=st.data())
+    def test_agrees_with_comb(self, n, k, data):
+        exact = comb(n, k)  # 0 when k > n
+        near = st.sampled_from([0, max(exact - 1, 0), exact, exact + 1])
+        cap = data.draw(st.one_of(near, st.integers(0, 2 * exact + 1)))
+        assert _comb_over(n, k, cap) == (exact > cap)
+
+    @pytest.mark.parametrize("n, k, cap, over", [
+        (10**6, 5 * 10**5, 10**4299, True),  # a 4,300-digit cap
+        (10**3000, 10**3000 - 5, 24, True),
+        (10**3000, 10**3000, 0, True),  # C(n, n) = 1
+        (10**3000, 10**3000 + 1, 0, False),  # C(n, k) = 0 for k > n
+        (10**18, 2, 10**36, False),
+    ], ids=["4300-digit-cap", "k-near-n", "k-is-n", "k-past-n", "admitted"])
+    def test_hostile_sizes_end_at_once(self, n, k, cap, over):
+        with deadline(2):
+            assert _comb_over(n, k, cap) is over
 
 
 class Counted(Exception):
