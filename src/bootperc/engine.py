@@ -19,9 +19,10 @@ Two engines produce identical per-step traces:
 * :func:`run_fast` advances frontier levels on link masks: one int per
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
   big-int ANDs decide every tuple through a frontier edge at once.  A
-  level gathers the vertices it fires per (r-1)-set and lists each
-  set's bits once.  The seed graph is streamed twice, into the masks
-  and as the first level; only a generation's new edges are listed.
+  level is a collection of plain edge tuples: each edge's bits and
+  (r-1)-set masks are derived where they are used and dropped with it.
+  The seed graph is streamed twice, into the masks and as the first
+  level; only a generation's new edges, the step itself, are kept.
 
 The two share no update code.  :func:`step`, the definitional sweep of
 ``_recount`` over all C(n, m) tuples, is the slow reference both are
@@ -62,7 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TUPLES = 10**8
-_Level = Iterable[tuple[list[int], list[int]]]  # per edge: its vertex bits, its (r-1)-subset masks
 
 
 class TupleBudgetExceeded(RuntimeError):
@@ -211,16 +211,14 @@ def _bits(x: int) -> list[int]:
 
 
 def _vertices(x: int) -> Edge:
-    """The sorted vertex ids of a vertex bitmask."""
-    return tuple(b.bit_length() - 1 for b in _bits(x))
-
-
-def _level(edges: Iterable[Edge]) -> _Level:
-    """Each edge's vertices as single-bit ints, lowest first, and its (r-1)-subsets as masks."""
-    for e in edges:
-        bits = [1 << v for v in e]
-        f = sum(bits)
-        yield bits, [f ^ b for b in bits]
+    """The sorted vertex ids of a vertex bitmask, in one loop: :meth:`_LinkState.fire`
+    converts every fired edge with it, and a generator over ``_bits`` costs more."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return tuple(out)
 
 
 def _over_budget(budget: int) -> TupleBudgetExceeded:
@@ -261,9 +259,9 @@ class _LinkState:
     """Link masks of an infected graph that grows one level at a time.
 
     ``link[S]``, for an (r-1)-set S, has bit v set when S | {v} is
-    infected.  A level gives each edge as ``(bits, keys)`` from
-    :func:`_level`; a seed graph streams its ``_level`` to :meth:`add`
-    and again to the first :meth:`fire`.  The m-tuples through an edge
+    infected.  A level is an iterable of edge tuples; :meth:`add` and
+    :meth:`fire` derive each edge's bits and masks as they reach it, so
+    a seed graph is streamed to both.  The m-tuples through an edge
     e are e plus m - r added vertices, taken in ascending order.  With U
     the edge and the vertices added so far, the facets a next vertex v
     brings are S | {v} for the (r-1)-subsets S of U, so the planes
@@ -296,46 +294,48 @@ class _LinkState:
         other.link = dict(self.link)
         return other
 
-    def add(self, level: _Level) -> None:
-        """Enter each edge of ``level`` in ``link``; if the cap can bind, count first the
-        tuples it newly meets."""
+    def add(self, edges: Iterable[Edge]) -> None:
+        """Enter each edge in ``link``; if the cap can bind, count first the tuples it
+        newly meets."""
         link, counting = self.link, self.counting
         n, k, count = self.n, self.m - self.r, self._count
-        for bits, keys in level:
+        for e in edges:
+            bits = [1 << v for v in e]
+            f = sum(bits)
             if counting:
-                f = sum(bits)
                 covered = self.covered = self.covered | f
+                keys = [f ^ b for b in bits]
                 vals = [link.get(x, 0) for x in keys]
                 self.touched += count(bits, keys, vals, covered & ~f, n - covered.bit_count(), k)
                 if self.touched > self.budget:
                     raise _over_budget(self.budget)
-            for b, x in zip(bits, keys):
+            for b in bits:
+                x = f ^ b
                 link[x] = link.get(x, 0) | b
 
-    def fire(self, level: _Level) -> dict[Edge, tuple[list[int], list[int]]]:
-        """The next level, keyed by edge: the uninfected facets m-tuples through ``level`` fire.
+    def fire(self, level: Iterable[Edge]) -> frozenset[Edge]:
+        """The next level: the uninfected facets that m-tuples through ``level`` fire.
 
         ``level`` is in ``link``.  ``new[S]`` gathers each v with S | {v} fired; one facet
         can be gathered under several S, so its mask is kept once before it is converted."""
         link, k, fire = self.link, self.m - self.r, self._fire
         every = (1 << self.n) - 1 if self.r == 1 else 0  # r = 1: the one plane is the infected set
         new: dict[int, int] = {}
-        for bits, keys in level:
+        for e in level:
+            bits = [1 << v for v in e]
+            f = sum(bits)
+            keys = [f ^ b for b in bits]
             vals = [link[x] for x in keys]
-            fire(bits, keys, vals, (every | vals[0] | vals[-1]) & ~sum(bits), k, None, new)
-        fired = {}
-        for f in {key | b for key, plane in new.items() for b in _bits(plane)}:
-            bits = _bits(f)
-            fired[tuple(x.bit_length() - 1 for x in bits)] = bits, [f ^ x for x in bits]
-        return fired
+            fire(bits, keys, vals, (every | vals[0] | vals[-1]) & ~f, k, None, new)
+        fired = {key | b for key, plane in new.items() for b in _bits(plane)}
+        return frozenset(map(_vertices, fired))
 
     def run(self, edges: Collection[Edge], first: Iterable[Edge] = ()) -> list[frozenset[Edge]]:
         """Add ``edges``; fire levels from them and ``first`` (in ``link``) until one is empty."""
-        self.add(_level(edges))
-        steps, level = [], _level(itertools.chain(first, edges))
-        while new := self.fire(level):
-            steps.append(frozenset(new))
-            level = new.values()
+        self.add(edges)
+        steps, level = [], itertools.chain(first, edges)
+        while level := self.fire(level):
+            steps.append(level)
             self.add(level)
         return steps
 

@@ -26,12 +26,15 @@ strictly increasing plain ints in [0, n), and the graph's list strictly
 increasing.  Only a list that fails is checked edge by edge, which names
 its first bad edge and its code.  The graph is built from the checked
 edges unchecked; the certificate checks its sequence edges again, whole,
-as it does for any caller.
+as it does for any caller.  The cyclic collector is paused while a
+document is decoded and converted, and the caller's setting restored.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import lt
@@ -257,9 +260,22 @@ def _parse_labels(raw: Any) -> Labels:
     return tuple(VertexLabel(layer=item["layer"], index=item["index"]) for item in raw)
 
 
+def _parse(text: str, convert: Callable[[dict[str, Any]], Any]) -> Any:
+    """``convert`` of the object ``text`` decodes to, with the cyclic collector off, then
+    on again if it was on: a document decodes to many lists and tuples, none in a cycle,
+    that live until they are converted, so a collection would traverse them and free none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(_load_object(text))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_graph(text: str) -> GraphDocument:
     """Parse and validate a canonical graph document."""
-    return _graph_document(_load_object(text))
+    return _parse(text, _graph_document)
 
 
 def _graph_document(data: dict[str, Any]) -> GraphDocument:
@@ -294,13 +310,13 @@ def _graph_fields(data: dict[str, Any]) -> tuple[Hypergraph, int | None, Labels 
 
 def parse_certificate(text: str) -> CertificateDocument:
     """Parse and validate a canonical certificate document."""
-    return _certificate(_load_object(text))
+    return _parse(text, _certificate)
 
 
 def read_document(text: str) -> GraphDocument | CertificateDocument:
     """Parse a graph or a certificate document: a certificate has an ``ignition`` key."""
-    data = _load_object(text)
-    return _certificate(data) if "ignition" in data else _graph_document(data)
+    return _parse(
+        text, lambda data: _certificate(data) if "ignition" in data else _graph_document(data))
 
 
 def _certificate(data: dict[str, Any]) -> CertificateDocument:

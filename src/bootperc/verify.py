@@ -27,7 +27,7 @@ from math import comb, inf
 
 from .constructions import SequentialCertificate
 from .core import Edge, Hypergraph
-from .engine import _bits, _budget, _comb_over, _level, _LinkState, _naive_generations, _vertices
+from .engine import _bits, _budget, _comb_over, _LinkState, _naive_generations, _vertices
 
 __all__ = [
     "VerificationReport",
@@ -109,11 +109,11 @@ def verify_sequential(
     n, r = g.n, g.r
     h = g.without(cert.ignition)
     seed = _LinkState(n, r, r + 1, _budget(g, r + 1, max_tuples))
-    seed.add(_level(h.edges))
-    fired = seed.fire(_level(h.edges))
+    seed.add(h.edges)
+    fired = seed.fire(h.edges)
     # the recount changes ``infected`` only after a generation, so H's own set serves
     recount = next(_naive_generations(n, r, r + 1, h.edges, h.edges), frozenset())
-    if fired.keys() != recount:
+    if fired != recount:
         raise EngineDisagreement("link state and recount disagree on the headless graph")
     first = h.edges if fired else ()  # if H fires, tuples avoiding the added edge fire too
     del h  # a copy of the graph; the replays need it only as ``first``
@@ -146,9 +146,10 @@ def _edge_planes(g: Hypergraph) -> Iterator[tuple[int, list[int]]]:
     that holds v.
     """
     state = _LinkState(g.n, g.r, g.r + 1, inf)  # no cap binds, so no tuple is counted
-    state.add(_level(g.edges))
-    for bits, keys in _level(g.edges):
-        yield sum(bits), [state.link[x] for x in keys]
+    state.add(g.edges)
+    for e in g.edges:
+        f = sum(1 << v for v in e)
+        yield f, [state.link[f ^ (1 << v)] for v in e]
 
 
 def check_density(g: Hypergraph) -> tuple[int, tuple[int, ...] | None]:

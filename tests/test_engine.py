@@ -28,7 +28,7 @@ from bootperc import (
     verify_sequential,
 )
 from bootperc.core import supersets
-from bootperc.engine import DEFAULT_MAX_TUPLES, _comb_over, _level, _LinkState, _naive_generations
+from bootperc.engine import DEFAULT_MAX_TUPLES, _comb_over, _LinkState, _naive_generations
 
 from helpers import (
     count_supersets,
@@ -270,7 +270,7 @@ class TestRunFast:
             for m in (4, 5):
                 assert run_fast(g, m=m, max_tuples=cap).running_time == 0
                 state = _LinkState(n, 3, m, cap)
-                state.add(_level(g.edges))
+                state.add(g.edges)
                 assert state.counting and state.touched == comb(n - 3, m - 3)
             return check_density(g), check_density(points), clique_census(points)
 
@@ -296,6 +296,14 @@ class TestRunFast:
         res, peak = peak_traced_bytes(lambda: run_fast(g))
         assert res.running_time == full_running_time(4, 3)
         assert peak < 4 * 10**6
+
+    def test_wide_generation_is_kept_as_edge_tuples_only(self):
+        # keeping two lists of single-bit ints and masks per fired edge, for two levels at
+        # once, peaked at 9.3 MiB; the plain edge tuples of the levels peak at 3.3 MiB
+        g = random_hypergraph(random.Random(3), 200, 2, 0.02)
+        res, peak = peak_traced_bytes(lambda: run_fast(g))
+        assert res.running_time == 3 and max(map(len, res.trace.steps)) > 10_000
+        assert peak < 6 * 2**20
 
     def test_negative_budget_rejected(self):
         g, _ = near_complete(4, 3)
@@ -644,8 +652,8 @@ class TestMetamorphic:
             for batches in ([edges], [shuffled], split):
                 state = _LinkState(g.n, r, m, cap)
                 for batch in batches:
-                    state.add(_level(batch))
-                first = state.fire(_level(itertools.chain(*batches)))
+                    state.add(batch)
+                first = state.fire(itertools.chain(*batches))
                 seeded.append((state.link, state.touched, state.covered, first))
             assert seeded[0] == seeded[1] == seeded[2]
             assert seeded[0][1] == (0 if cap == DEFAULT_MAX_TUPLES else met)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io as stdio
 import itertools
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootperc.core as core
+import bootperc.io as bio
 from bootperc import (
     Hypergraph,
     SequentialCertificate,
@@ -468,6 +470,38 @@ def mutate(data: dict, draw) -> str:
         return "id-range"
     edge[p] = draw(st.sampled_from(INT_STANDINS))
     return "schema"
+
+
+class TestCollectorPause:
+    PARSERS = [(parse_graph, k34_doc), (parse_certificate, base2_doc),
+               (read_document, k34_doc), (read_document, base2_doc)]
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("parse, make", PARSERS)
+    def test_caller_state_comes_back(self, parse, make, enabled):
+        (gc.enable if enabled else gc.disable)()
+        parse(make())
+        assert gc.isenabled() is enabled
+        for bad in ("{", "[]", make().replace('"r"', '"rr"')):
+            with pytest.raises(DocumentError):
+                parse(bad)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("parse, make", PARSERS)
+    def test_collector_is_off_while_decoding_and_converting(self, parse, make, monkeypatch):
+        seen = []
+        for name in ("_load_object", "_graph_fields"):
+            step = getattr(bio, name)
+            monkeypatch.setattr(bio, name, lambda x, step=step: seen.append(gc.isenabled()) or step(x))
+        gc.enable()
+        parse(make())
+        assert seen == [False, False] and gc.isenabled()
 
 
 class TestParseFuzz:
