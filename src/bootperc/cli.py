@@ -40,11 +40,11 @@ _BUDGET_HINTS = {
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.stage in ("base", "glued") and args.r != 3:
-        raise ValueError(f"stage {args.stage!r} requires r = 3, got r = {args.r}")
     if args.stage == "base":
+        if args.r != 3:
+            raise ValueError(f"stage 'base' requires r = 3, got r = {args.r}")
         cert = constructions.build_base(args.k)
-    else:  # the glued stage is the full construction at r = 3
+    else:
         cert = constructions.build_full(args.r, args.k)
     g = cert.graph
     print(f"vertices={g.n} edges={len(g)} predicted_T={cert.predicted_t}")
@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="generate a construction certificate")
     p.add_argument("--r", type=int, required=True, help="uniformity (>= 3)")
     p.add_argument("--k", type=int, required=True, help="size parameter (>= 2)")
-    p.add_argument("--stage", choices=("base", "glued", "full"), default="full")
+    p.add_argument("--stage", choices=("base", "full"), default="full")
     p.add_argument("--out", metavar="PATH", help="write the certificate document here")
     p.set_defaults(func=cmd_build)
 

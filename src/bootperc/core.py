@@ -33,7 +33,6 @@ __all__ = [
     "label_to_id",
     "id_to_label",
     "layer_width",
-    "supersets",
 ]
 
 
@@ -141,17 +140,10 @@ def _canonical(edges: Collection, r: int, n: int, kind: type = tuple) -> bool:
     return in_range and all(map(all, pairs))
 
 
-def supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All sorted m-vertex tuples over [0, n) containing ``e``, in lex order of the
-    added vertex set (for m = len(e) + 1, the n - r single-vertex extensions, each
-    yielded as it is built).  ``e`` is sorted and checked once; no tuple is sorted."""
-    if m <= len(e):
-        raise ValueError(f"m must exceed the edge arity {len(e)}, got {m}")
-    return _supersets(make_edge(e, n=n), n, m)
-
-
 def _supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """:func:`supersets` of an edge already canonical, with m > len(e), unchecked."""
+    """All sorted m-vertex tuples over [0, n) containing the canonical edge ``e``, with
+    m > len(e), unchecked: in lex order of the added vertex set (for m = len(e) + 1, the
+    n - r single-vertex extensions, each yielded as it is built).  No tuple is sorted."""
     return _one_more(e, 0, n) if m == len(e) + 1 else iter(_inserted(e, 0, n, m - len(e)))
 
 
@@ -187,6 +179,8 @@ def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
 class Hypergraph:
     """An r-uniform hypergraph on vertex set [0, n), identified with its edge set.
 
+    ``Hypergraph(n, r, edges)`` takes a frozenset of canonical (strictly
+    increasing) tuples; :meth:`from_edges` takes any collection of edges.
     Immutable after construction.  Membership is O(1); iteration is in
     lexicographic edge order.
     """
@@ -197,6 +191,9 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         self._check_sizes()
+        if not isinstance(self.edges, frozenset):
+            raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}; "
+                             "use Hypergraph.from_edges for any other collection")
         if not _canonical(self.edges, self.r, self.n):
             for e in self.edges:  # names the first bad edge
                 if make_edge(e, r=self.r, n=self.n) != e:
@@ -222,8 +219,9 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-        """Build a hypergraph, canonicalizing and validating every edge once: a collection
-        of sorted tuples is checked whole, anything else edge by edge as it is read."""
+        """Build a hypergraph from any collection or iterator of edges (a list, a set, a
+        generator), canonicalizing and validating every edge once: a collection of sorted
+        tuples is checked whole, anything else edge by edge as it is read."""
         if not _canonical(edges, r, n):
             edges = (make_edge(e, r=r, n=n) for e in edges)
         return cls._trusted(n, r, frozenset(edges))

@@ -177,8 +177,9 @@ def emit_trace(result: RunResult, sink: TextIO) -> None:
     g = result.final_graph
     header = {"format_version": FORMAT_VERSION, "r": g.r, "n": g.n, "t": result.running_time}
     sink.write(json.dumps(header) + "\n")
-    for i, stepset in enumerate(result.trace.steps, start=1):  # the text json.dumps writes
-        sink.writelines(f'{{"step": {i}, "edge": {list(e)}}}\n' for e in sorted(stepset))
+    edge = ", ".join(["%d"] * g.r) + "]}\n"  # one format per step, the text json.dumps writes
+    for i, stepset in enumerate(result.trace.steps, start=1):
+        sink.writelines(map(('{"step": %d, "edge": [' % i + edge).__mod__, sorted(stepset)))
 
 
 # ---------------------------------------------------------------------------

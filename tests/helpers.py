@@ -24,10 +24,9 @@ from bootperc import (
     run_fast,
     run_naive,
     step,
-    supersets,
 )
 import bootperc.io as bootperc_io
-from bootperc.core import _is_int
+from bootperc.core import _is_int, _supersets
 from bootperc.io import DocumentError
 from bootperc.verify import (
     NAIVE_CROSS_CHECK_LIMIT,
@@ -35,6 +34,12 @@ from bootperc.verify import (
     VerificationReport,
     _compare_to_sequence,
 )
+
+
+def sorting_supersets(e, n: int, m: int) -> list[tuple[int, ...]]:
+    """The definition: sort e plus each added set, the added sets in lex order."""
+    others = [v for v in range(n) if v not in e]
+    return [tuple(sorted(tuple(e) + x)) for x in itertools.combinations(others, m - len(e))]
 
 
 def iterate_step(g: Hypergraph, m: int | None = None) -> list[frozenset[Edge]]:
@@ -82,7 +87,7 @@ def reference_naive_generations(
         if comb(n, m) <= len(side) * comb(n - r, m - r):
             candidates = set(itertools.combinations(range(n), m))
         else:
-            candidates = {t for e in side for t in supersets(e, n, m)}
+            candidates = {t for e in side for t in sorting_supersets(e, n, m)}
         new = {e for e in (unique_missing(t, r, infected) for t in candidates) if e is not None}
         if not new:
             return out
@@ -97,7 +102,7 @@ def count_supersets(monkeypatch) -> dict[str, int]:
     counts = {"calls": 0, "tuples": 0}
 
     def counting(e, n, m):
-        out = list(supersets(e, n, m))
+        out = list(_supersets(e, n, m))
         counts["calls"] += 1
         counts["tuples"] += len(out)
         return out
@@ -193,7 +198,7 @@ def inject_headless_fire(monkeypatch, edge) -> None:
 def _tuples_meeting(g: Hypergraph) -> list[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
     for e in g.sorted_edges:
-        out.update(supersets(e, g.n, g.r + 1))
+        out.update(sorting_supersets(e, g.n, g.r + 1))
     return sorted(out)
 
 

@@ -47,9 +47,10 @@ class TestBuild:
         assert main(["build", "--r", "4", "--k", "2", "--stage", "full"]) == 0
         assert "predicted_T=124" in capsys.readouterr().out
 
-    def test_glued(self, capsys):
-        assert main(["build", "--r", "3", "--k", "2", "--stage", "glued"]) == 0
-        assert "predicted_T=40" in capsys.readouterr().out
+    def test_stage_glued_is_refused(self, capsys):
+        # the full construction at r = 3 is the glued one, so it has one stage name only
+        assert main(["build", "--r", "3", "--k", "2", "--stage", "glued"]) == 2
+        assert "invalid choice: 'glued'" in capsys.readouterr().err
 
     def test_base_requires_r3(self, capsys):
         assert main(["build", "--r", "4", "--k", "2", "--stage", "base"]) == 2
@@ -414,7 +415,7 @@ class TestArguments:
         [
             (["build", "--r", "3", "--k", "1"], "k must be >= 2, got 1"),
             (["build", "--r", "3", "--k", "1", "--stage", "base"], "k must be >= 2, got 1"),
-            (["build", "--r", "3", "--k", "0", "--stage", "glued"], "k must be >= 2, got 0"),
+            (["build", "--r", "3", "--k", "0", "--stage", "full"], "k must be >= 2, got 0"),
             (["build", "--r", "2", "--k", "2"], "r must be >= 3, got 2"),
             (["build", "--r", "4", "--k", "2", "--stage", "base"],
              "stage 'base' requires r = 3, got r = 4"),

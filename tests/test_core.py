@@ -12,14 +12,14 @@ from bootperc.core import (
     VertexLabel,
     VertexRangeError,
     VertexTypeError,
+    _supersets,
     id_to_label,
     label_to_id,
     layer_width,
     make_edge,
-    supersets,
 )
 
-from helpers import forbid_revalidation
+from helpers import forbid_revalidation, sorting_supersets
 
 
 class TestMakeEdge:
@@ -89,47 +89,25 @@ class TestLabels:
         assert label_to_id(id_to_label(vid, k), k) == vid
 
 
-def sorting_supersets(e, n: int, m: int) -> list[tuple[int, ...]]:
-    """The definition: sort e plus each added set, the added sets in lex order."""
-    others = [v for v in range(n) if v not in e]
-    return [tuple(sorted(tuple(e) + x)) for x in itertools.combinations(others, m - len(e))]
-
-
 class TestSupersets:
     def test_single_completion(self):
-        assert list(supersets((0, 1, 2), n=4, m=4)) == [(0, 1, 2, 3)]
+        assert list(_supersets((0, 1, 2), n=4, m=4)) == [(0, 1, 2, 3)]
 
     def test_two_completions(self):
-        assert list(supersets((0, 1, 2), n=5, m=4)) == [(0, 1, 2, 3), (0, 1, 2, 4)]
+        assert list(_supersets((0, 1, 2), n=5, m=4)) == [(0, 1, 2, 3), (0, 1, 2, 4)]
 
     def test_no_spare_vertex(self):
-        assert list(supersets((0, 1, 2), n=3, m=4)) == []
-
-    def test_m_not_above_arity(self):
-        with pytest.raises(ValueError):
-            supersets((0, 1, 2), n=5, m=3)
+        assert list(_supersets((0, 1, 2), n=3, m=4)) == []
 
     def test_interleaved_vertices_stay_sorted(self):
-        assert list(supersets((1, 3), n=5, m=3)) == [(0, 1, 3), (1, 2, 3), (1, 3, 4)]
+        assert list(_supersets((1, 3), n=5, m=3)) == [(0, 1, 3), (1, 2, 3), (1, 3, 4)]
 
     def test_matches_the_sorting_definition_exhaustively(self):
         for n in range(10):
             for r in range(n + 1):
                 for m in range(r + 1, n + 2):
                     for e in itertools.combinations(range(n), r):
-                        assert list(supersets(e, n, m)) == sorting_supersets(e, n, m), (e, n, m)
-
-    def test_unsorted_input_gets_the_sorted_list(self):
-        for e in itertools.combinations(range(7), 3):
-            for m in (4, 5, 6):
-                want = sorting_supersets(e, 7, m)
-                for shuffled in itertools.permutations(e):
-                    assert list(supersets(shuffled, 7, m)) == want
-
-    @pytest.mark.parametrize("e", [(1, 1, 2), (2, 0, 2), (3, 3)])
-    def test_repeated_vertex_rejected(self, e):
-        with pytest.raises(DuplicateVertexError):
-            supersets(e, 5, len(e) + 1)
+                        assert list(_supersets(e, n, m)) == sorting_supersets(e, n, m), (e, n, m)
 
     @given(
         n=st.integers(min_value=3, max_value=10),
@@ -140,7 +118,7 @@ class TestSupersets:
         e = tuple(sorted(data.draw(
             st.sets(st.integers(min_value=0, max_value=n - 1), min_size=r, max_size=r)
         )))
-        assert len(list(supersets(e, n, r + 1))) == n - r
+        assert len(list(_supersets(e, n, r + 1))) == n - r
 
 
 class TestHypergraph:
@@ -169,6 +147,24 @@ class TestHypergraph:
             Hypergraph(n=4, r=3, edges=frozenset({(0, 1, 1)}))
         with pytest.raises(DuplicateVertexError):
             Hypergraph(n=4, r=3, edges=frozenset({(2, 1, 0)}))
+
+    @pytest.mark.parametrize("kind", ["list with a duplicate", "set", "tuple", "generator"])
+    @given(data=st.data())
+    def test_constructor_takes_only_a_frozenset(self, kind, data):
+        # any other collection goes through from_edges, which dedupes, freezes and reads once
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        r = data.draw(st.integers(min_value=1, max_value=n))
+        edge = st.sets(st.integers(0, n - 1), min_size=r, max_size=r).map(lambda s: tuple(sorted(s)))
+        edges = data.draw(st.lists(edge, min_size=1, max_size=12))
+        make = {
+            "list with a duplicate": lambda: edges + edges[:1],
+            "set": lambda: set(edges),
+            "tuple": lambda: tuple(edges),
+            "generator": lambda: (e for e in edges),
+        }[kind]
+        with pytest.raises(ValueError, match="Hypergraph.from_edges"):
+            Hypergraph(n, r, make())
+        assert Hypergraph.from_edges(n, r, make()) == Hypergraph(n, r, frozenset(edges))
 
     @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), (True, 1), (5, True)])
     def test_sizes_must_be_ints(self, n, r):
@@ -238,13 +234,13 @@ class TestHypergraph:
 
 def test_facets_of_supersets_cover_edge():
     e = (1, 4, 6)
-    for t in supersets(e, n=8, m=4):
+    for t in _supersets(e, n=8, m=4):
         assert e in itertools.combinations(t, len(e))
         assert set(e) < set(t)
 
 
 def test_supersets_general_m():
     e = (0, 1)
-    out = list(supersets(e, n=5, m=4))
+    out = list(_supersets(e, n=5, m=4))
     assert out == [tuple(sorted((0, 1) + extra))
                    for extra in itertools.combinations([2, 3, 4], 2)]

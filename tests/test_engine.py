@@ -27,7 +27,7 @@ from bootperc import (
     step,
     verify_sequential,
 )
-from bootperc.core import supersets
+from bootperc.core import _supersets
 from bootperc.engine import DEFAULT_MAX_TUPLES, _comb_over, _LinkState, _naive_generations
 
 from helpers import (
@@ -101,8 +101,8 @@ class TestRunNaive:
         assert res.running_time == 0 and len(res.trace) == 0
 
     def test_recount_checks_no_edge_it_already_owns(self, monkeypatch):
-        # every edge the recount extends is canonical already; the public supersets,
-        # which it used to call, checked each one again with make_edge
+        # every edge the recount extends is canonical already, so core._supersets takes
+        # it unchecked: no edge goes through make_edge again
         g = random_hypergraph(random.Random(1), 30, 2, 0.06)
         fast = run_fast(g)
 
@@ -240,7 +240,7 @@ class TestRunFast:
     def test_budget_is_exactly_the_tuples_meeting_the_final_graph(self, g, m):
         m = g.r + 1 if m is None else m
         final = run_naive(g, m=m).final_graph
-        touched = {t for e in final.edges for t in supersets(e, g.n, m)}
+        touched = {t for e in final.edges for t in _supersets(e, g.n, m)}
         assert run_fast(g, m=m, max_tuples=len(touched)).final_graph == final
         with pytest.raises(TupleBudgetExceeded):
             run_fast(g, m=m, max_tuples=len(touched) - 1)
@@ -284,7 +284,7 @@ class TestRunFast:
     def test_drawn_budget_is_exactly_the_tuples_meeting_the_final_graph(self, r, m, data):
         g = data.draw(small_graphs(r, m, 7))
         final = run_naive(g, m=m).final_graph
-        touched = {t for e in final.edges for t in supersets(e, g.n, m)}
+        touched = {t for e in final.edges for t in _supersets(e, g.n, m)}
         assert run_fast(g, m=m, max_tuples=len(touched)).final_graph == final
         if touched:
             with pytest.raises(TupleBudgetExceeded):
@@ -444,7 +444,7 @@ class TestEngineEquivalence:
             fast = run_fast(g, m=m)
             assert tuple(iterate_step(g, m=m)) == fast.trace.steps
             assert fast == run_naive(g, m=m)
-            touched = {t for e in fast.final_graph.edges for t in supersets(e, g.n, m)}
+            touched = {t for e in fast.final_graph.edges for t in _supersets(e, g.n, m)}
             if touched:
                 with pytest.raises(TupleBudgetExceeded):
                     run_fast(g, m=m, max_tuples=len(touched) - 1)
@@ -568,7 +568,7 @@ class TestProcessProperties:
             steps.update(res.trace.step_map())
             for e, s in res.trace.step_map().items():
                 witnesses = []
-                for t in supersets(e, n, 4):
+                for t in _supersets(e, n, 4):
                     others = [f for f in
                               [t[:p] + t[p + 1:] for p in range(4)] if f != e]
                     if all(f in steps and steps[f] < s for f in others):
@@ -577,7 +577,7 @@ class TestProcessProperties:
                 assert not any(
                     all(f in steps and steps[f] < s - 1 for f in
                         [t[:p] + t[p + 1:] for p in range(4)] if f != e)
-                    for t in supersets(e, n, 4)
+                    for t in _supersets(e, n, 4)
                 )
 
 
@@ -646,7 +646,7 @@ class TestMetamorphic:
         split = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(edges)])]
         # the default cap cannot bind, so nothing is counted; one below C(n, m) counts the
         # seed's tuples, unless it meets all of them and so must raise
-        met = len({t for e in edges for t in supersets(e, g.n, m)})
+        met = len({t for e in edges for t in _supersets(e, g.n, m)})
         for cap in [DEFAULT_MAX_TUPLES] + [comb(g.n, m) - 1] * (met < comb(g.n, m)):
             seeded = []
             for batches in ([edges], [shuffled], split):

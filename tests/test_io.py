@@ -17,6 +17,8 @@ import bootperc.core as core
 import bootperc.io as bio
 from bootperc import (
     Hypergraph,
+    InfectionTrace,
+    RunResult,
     SequentialCertificate,
     build_base,
     build_full,
@@ -682,6 +684,21 @@ class TestEmitTrace:
         lines = self.read_lines(run_fast(g))
         assert len(lines) == 2
         assert json.loads(lines[1]) == {"step": 1, "edge": [0, 1, 2]}
+
+    @given(data=st.data())
+    def test_each_record_is_what_json_dumps_writes(self, data):
+        # no engine runs here: on ids at 2^64 and above its link masks would be that wide
+        r = data.draw(st.integers(1, 4))
+        low = data.draw(st.sampled_from([0, 2**64 - 2, 3**50]))
+        n = low + data.draw(st.integers(r, r + 4))
+        edge = st.sets(st.integers(low, n - 1), min_size=r, max_size=r).map(lambda s: tuple(sorted(s)))
+        edges = data.draw(st.lists(edge, unique=True, max_size=12))
+        at = data.draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+        steps = [sorted(e for e, i in zip(edges, at) if i == s) for s in sorted(set(at))]
+        g = Hypergraph.from_edges(n, r, edges)
+        lines = self.read_lines(RunResult(g, InfectionTrace(tuple(map(frozenset, steps))), len(steps)))
+        records = [json.dumps({"step": i, "edge": list(e)}) for i, s in enumerate(steps, 1) for e in s]
+        assert lines[1:] == records
 
     def test_lexicographic_within_step(self):
         # two independent near-complete 4-sets infect two edges at step 1

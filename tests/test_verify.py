@@ -23,7 +23,7 @@ from bootperc import (
     verify,
     verify_sequential,
 )
-from bootperc.core import supersets
+from bootperc.core import _supersets
 from bootperc.verify import EngineDisagreement, _chunk_planes, _generations, _tuple_facets
 
 from helpers import (
@@ -149,7 +149,7 @@ def mutated_certificates(draw) -> SequentialCertificate:
 
 
 def tuples_meeting(g: Hypergraph) -> int:
-    return len({t for e in g.edges for t in supersets(e, g.n, g.r + 1)})
+    return len({t for e in g.edges for t in _supersets(e, g.n, g.r + 1)})
 
 
 class TestSeededReplay:
