@@ -5,7 +5,9 @@ r-subset of some m-vertex tuple (m = r+1 by default: the missing facet
 of an (r+1)-clique).  Steps are synchronous: all edges infectable from
 the current graph appear in the same generation.
 
-Two engines produce identical per-step traces:
+Two engines produce identical per-step traces, each returned in a
+:class:`RunResult` with the graph it started from; the final graph and
+the running time T are read off the two:
 
 * :func:`run_naive` recounts, each generation, whichever of three sides
   has the fewest tuples: the m-tuples through the previous generation's
@@ -71,39 +73,38 @@ class TupleBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class InfectionTrace:
-    """Newly infected edge sets per step; ``steps[i]`` is generation i+1."""
+    """Newly infected edges per step, a tuple of non-empty frozensets; ``steps[i]`` is step i+1."""
 
     steps: tuple[frozenset[Edge], ...]
 
     def __post_init__(self) -> None:
-        for i, s in enumerate(self.steps):
-            if not s:
-                raise ValueError(f"empty infection set at step {i + 1}")
+        if not isinstance(self.steps, tuple):
+            raise ValueError(f"steps must be a tuple, got {type(self.steps).__name__}")
+        for i, s in enumerate(self.steps, 1):
+            if not (isinstance(s, frozenset) and s):
+                raise ValueError(f"step {i} must be a non-empty frozenset, got {s!r:.60}")
 
     def __len__(self) -> int:
         return len(self.steps)
 
-    def at(self, step: int) -> frozenset[Edge]:
-        """Edges infected at the given 1-based step."""
-        if not 1 <= step <= len(self.steps):
-            raise IndexError(f"step must be in [1, {len(self.steps)}], got {step}")
-        return self.steps[step - 1]
-
-    def step_map(self) -> dict[Edge, int]:
-        """Map each traced edge to its 1-based infection step."""
-        return {e: i for i, s in enumerate(self.steps, 1) for e in s}
-
-    def all_edges(self) -> frozenset[Edge]:
-        return frozenset().union(*self.steps)
-
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one bootstrap run: final graph, trace, and time to stationarity."""
+    """One bootstrap run: the graph the engine was given and its trace, from which the
+    final graph (rebuilt on each read: bind it once) and the running time T are read.
+    The trace is trusted to hold canonical edges on the graph's vertices, as an engine's does."""
 
-    final_graph: Hypergraph
+    initial_graph: Hypergraph
     trace: InfectionTrace
-    running_time: int
+
+    @property
+    def final_graph(self) -> Hypergraph:
+        g, steps = self.initial_graph, self.trace.steps
+        return Hypergraph._trusted(g.n, g.r, g.edges.union(*steps) if steps else g.edges)
+
+    @property
+    def running_time(self) -> int:
+        return len(self.trace)
 
 
 def _check_m(g: Hypergraph, m: int | None) -> int:
@@ -137,13 +138,6 @@ def step(g: Hypergraph, m: int | None = None) -> frozenset[Edge]:
     """
     m = _check_m(g, m)
     return frozenset(_recount(itertools.combinations(range(g.n), m), g.r, g.edges))
-
-
-def _result(g0: Hypergraph, steps: list[frozenset[Edge]]) -> RunResult:
-    trace = InfectionTrace(steps=tuple(steps))
-    # the engines add only canonical tuples of g0's vertices to g0's edges
-    final = Hypergraph._trusted(g0.n, g0.r, g0.edges | trace.all_edges())
-    return RunResult(final_graph=final, trace=trace, running_time=len(steps))
 
 
 def _naive_generations(
@@ -197,7 +191,7 @@ def run_naive(g0: Hypergraph, m: int | None = None) -> RunResult:
     """
     m = _check_m(g0, m)
     steps = _naive_generations(g0.n, g0.r, m, set(g0.edges), g0.edges, _budget(g0, m, None))
-    return _result(g0, [] if _idle(g0, m) else list(steps))
+    return RunResult(g0, InfectionTrace(() if _idle(g0, m) else tuple(steps)))
 
 
 def _bits(x: int) -> list[int]:
@@ -410,4 +404,5 @@ def run_fast(g0: Hypergraph, m: int | None = None, max_tuples: int | None = None
     """
     m = _check_m(g0, m)
     budget = _budget(g0, m, max_tuples)
-    return _result(g0, [] if _idle(g0, m) else _LinkState(g0.n, g0.r, m, budget).run(g0.edges))
+    steps = () if _idle(g0, m) else _LinkState(g0.n, g0.r, m, budget).run(g0.edges)
+    return RunResult(g0, InfectionTrace(tuple(steps)))

@@ -174,7 +174,7 @@ def emit_trace(result: RunResult, sink: TextIO) -> None:
 
     Within a step, edges appear in lexicographic order.
     """
-    g = result.final_graph
+    g = result.initial_graph
     header = {"format_version": FORMAT_VERSION, "r": g.r, "n": g.n, "t": result.running_time}
     sink.write(json.dumps(header) + "\n")
     edge = ", ".join(["%d"] * g.r) + "]}\n"  # one format per step, the text json.dumps writes

@@ -76,7 +76,7 @@ def test_criterion_1_base_replay():
             elapsed = time.perf_counter() - started
             assert result.running_time == expected_t, (k, runner.__name__)
             for i in range(1, expected_t + 1):
-                assert result.trace.at(i) == {predicted_base_edge(k, i)}, (k, i)
+                assert result.trace.steps[i - 1] == {predicted_base_edge(k, i)}, (k, i)
             assert elapsed < 1.0, (k, runner.__name__, elapsed)
     assert [base_running_time(k) for k in (2, 3, 4, 5)] == [12, 40, 84, 144]
 
@@ -94,7 +94,7 @@ def test_criterion_2_definition_triple():
         t = cert.predicted_t
         assert result.running_time == t
         for i in range(1, t + 1):
-            assert result.trace.at(i) == {cert.sequence[t - i]}, (k, i)
+            assert result.trace.steps[i - 1] == {cert.sequence[t - i]}, (k, i)
 
 
 def expected_glued_sequence(pre: SequentialCertificate, k: int) -> list[tuple[int, ...]]:
@@ -136,7 +136,7 @@ def test_criterion_3_full_constructions():
         result = run_fast(cert.graph)
         assert result.running_time == expected_t, (r, k)
         for i in range(1, expected_t + 1):
-            assert result.trace.at(i) == {cert.sequence[i]}, (r, k, i)
+            assert result.trace.steps[i - 1] == {cert.sequence[i]}, (r, k, i)
     assert time.perf_counter() - started <= 60.0
 
 
@@ -178,7 +178,8 @@ def test_criterion_6_engine_equivalence():
         g = random_hypergraph(rng, n, 3, rng.uniform(0.05, 0.85))
         naive = run_naive(g)
         fast = run_fast(g)
-        assert naive.trace.step_map() == fast.trace.step_map()
+        step_maps = [{e: i for i, s in enumerate(x.trace.steps, 1) for e in s} for x in (naive, fast)]
+        assert step_maps[0] == step_maps[1]
         assert naive.trace == fast.trace
         assert naive.final_graph == fast.final_graph
         cases += 1

@@ -503,4 +503,4 @@ def test_glued_certificate_replays_exactly():
     res = run_fast(cert.graph)
     assert res.running_time == 40
     for i in range(1, 41):
-        assert res.trace.at(i) == {cert.sequence[i]}
+        assert res.trace.steps[i - 1] == {cert.sequence[i]}

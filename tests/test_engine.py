@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from bootperc import (
     Hypergraph,
     InfectionTrace,
+    RunResult,
     TupleBudgetExceeded,
     build_base,
     build_full,
@@ -129,7 +131,7 @@ class TestRunNaive:
         res = run_naive(cert.graph)
         assert res.running_time == 12
         for i in range(1, 13):
-            assert res.trace.at(i) == {cert.sequence[i]}
+            assert res.trace.steps[i - 1] == {cert.sequence[i]}
 
     def test_final_graph_is_union(self):
         g, missing = near_complete(4, 3)
@@ -314,7 +316,7 @@ class TestRunFast:
     def test_trace_steps_start_at_one(self):
         g, missing = near_complete(4, 3)
         res = run_fast(g)
-        assert res.trace.step_map() == {missing: 1}
+        assert {e: i for i, s in enumerate(res.trace.steps, 1) for e in s} == {missing: 1}
 
     @pytest.mark.parametrize("edges", [
         [(0, 39), (1, 38)],
@@ -565,8 +567,9 @@ class TestProcessProperties:
             g = random_hypergraph(rng, n, 3, rng.uniform(0.3, 0.8))
             res = run_naive(g)
             steps = {e: 0 for e in g.edges}
-            steps.update(res.trace.step_map())
-            for e, s in res.trace.step_map().items():
+            traced = {e: i for i, s in enumerate(res.trace.steps, 1) for e in s}
+            steps.update(traced)
+            for e, s in traced.items():
                 witnesses = []
                 for t in _supersets(e, n, 4):
                     others = [f for f in
@@ -587,7 +590,7 @@ class TestFinalGraph:
         forbid_revalidation(monkeypatch)
         fast, naive = run_fast(g), run_naive(g)
         assert fast.final_graph == naive.final_graph
-        assert fast.final_graph.edges == g.edges | fast.trace.all_edges()
+        assert fast.final_graph.edges == g.edges | {e for s in fast.trace.steps for e in s}
 
     @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4), (3, 5)])
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -665,18 +668,44 @@ class TestTraceTypes:
         with pytest.raises(ValueError):
             InfectionTrace(steps=(frozenset(),))
 
-    def test_step_map(self):
-        tr = InfectionTrace(steps=(frozenset({(0, 1, 2)}), frozenset({(0, 1, 3)})))
-        assert tr.step_map() == {(0, 1, 2): 1, (0, 1, 3): 2}
-        assert tr.at(2) == {(0, 1, 3)}
-        assert tr.all_edges() == {(0, 1, 2), (0, 1, 3)}
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_takes_only_a_tuple_of_frozensets(self, data):
+        # a list or set container is unhashable, a set step mutable, a generator used up
+        steps = data.draw(st.lists(st.frozensets(st.tuples(st.integers(0, 9)), min_size=1),
+                                   min_size=1, max_size=4))
+        assert InfectionTrace(tuple(steps)).steps == tuple(steps)
+        for container in (list, set, lambda s: (x for x in s)):
+            with pytest.raises(ValueError):
+                InfectionTrace(container(steps))
+        i = data.draw(st.integers(0, len(steps) - 1))
+        for kind in (set, list):
+            with pytest.raises(ValueError):
+                InfectionTrace(tuple(steps[:i]) + (kind(steps[i]),) + tuple(steps[i + 1:]))
 
-    def test_at_rejects_out_of_range_steps(self):
-        tr = InfectionTrace(steps=(frozenset({(0, 1, 2)}),))
-        with pytest.raises(IndexError):
-            tr.at(0)
-        with pytest.raises(IndexError):
-            tr.at(2)
+
+class TestRunResult:
+    def test_holds_only_the_start_graph_and_the_trace(self):
+        assert [f.name for f in dataclasses.fields(RunResult)] == ["initial_graph", "trace"]
+
+    @pytest.mark.parametrize("r, m", [(2, 3), (2, 4), (3, 4)])
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_final_graph_and_time_are_read_off_the_trace(self, r, m, data):
+        g = data.draw(small_graphs(r, m, 7))
+        for run in (run_fast, run_naive):
+            result = run(g, m=m)
+            assert result.initial_graph is g
+            assert result.running_time == len(result.trace.steps)
+            assert result.final_graph.edges == g.edges.union(*result.trace.steps)
+            assert vars(result) == {"initial_graph": g, "trace": result.trace}
+
+    def test_stationary_run_shares_the_start_edges(self):
+        cert = build_base(3)
+        g = cert.graph.without(cert.ignition)
+        for run in (run_fast, run_naive):
+            result = run(g)
+            assert result.running_time == 0 and result.final_graph.edges is g.edges
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -696,9 +696,16 @@ class TestEmitTrace:
         at = data.draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
         steps = [sorted(e for e, i in zip(edges, at) if i == s) for s in sorted(set(at))]
         g = Hypergraph.from_edges(n, r, edges)
-        lines = self.read_lines(RunResult(g, InfectionTrace(tuple(map(frozenset, steps))), len(steps)))
+        lines = self.read_lines(RunResult(g, InfectionTrace(tuple(map(frozenset, steps)))))
         records = [json.dumps({"step": i, "edge": list(e)}) for i, s in enumerate(steps, 1) for e in s]
         assert lines[1:] == records
+
+    def test_hand_built_result_heads_its_own_length(self):
+        # a stored T could disagree with the records, as "t": 5 above one record
+        trace = InfectionTrace((frozenset({(0, 3)}),))
+        lines = self.read_lines(RunResult(Hypergraph(n=5, r=2, edges=frozenset()), trace))
+        assert json.loads(lines[0]) == {"format_version": "1", "r": 2, "n": 5, "t": 1}
+        assert len(lines) == 1 + len(trace.steps)
 
     def test_lexicographic_within_step(self):
         # two independent near-complete 4-sets infect two edges at step 1

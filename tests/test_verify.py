@@ -24,7 +24,10 @@ from bootperc import (
     verify_sequential,
 )
 from bootperc.core import _supersets
-from bootperc.verify import EngineDisagreement, _chunk_planes, _generations, _tuple_facets
+from bootperc.engine import DEFAULT_MAX_TUPLES, _LinkState, _naive_generations
+from bootperc.verify import (
+    NAIVE_CROSS_CHECK_LIMIT, EngineDisagreement, _chunk_planes, _generations, _tuple_facets,
+)
 
 from helpers import (
     inject_headless_fire,
@@ -203,6 +206,30 @@ class TestSeededReplay:
         report = verify_sequential(padded_base(800))
         assert report.all_passed
         assert report.measured_t_forward == report.measured_t_reverse == 12
+
+
+class TestNaiveReplaysAboveTheCrossCheckGate:
+    # verify replays these certificates with the link state alone, as C(n, r+1) passes
+    # NAIVE_CROSS_CHECK_LIMIT: the naive engine must still agree step for step
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_naive_replays_equal_the_link_state_replays(self, data):
+        cert = data.draw(st.sampled_from(BASES))
+        r, m = cert.r, cert.r + 1
+        gate = min(n for n in range(121) if math.comb(n, m) > NAIVE_CROSS_CHECK_LIMIT)
+        n = data.draw(st.integers(gate, 120))
+        ids = data.draw(st.permutations(range(n)))
+        moved = [tuple(sorted(ids[v] for v in e)) for e in cert.sequence]
+        ignition, last = moved[0], moved[-1]
+        g = Hypergraph.from_edges(n, r, [[ids[v] for v in e] for e in cert.graph.edges])
+        h = g.without(ignition)
+        seed = _LinkState(n, r, m, DEFAULT_MAX_TUPLES)
+        seed.add(h.edges)
+        assert not seed.fire(h.edges)  # H is stationary, so each replay fires from one edge
+        forward, reverse = seed.copy().run([ignition]), seed.run([last])
+        assert forward == [frozenset({e}) for e in moved[1:]]
+        assert list(_naive_generations(n, r, m, set(g.edges), [ignition])) == forward
+        assert list(_naive_generations(n, r, m, set(h.edges) | {last}, [last])) == reverse
 
 
 class TestCheckDensity:
