@@ -73,7 +73,7 @@ class SequentialCertificate:
 
     def __post_init__(self) -> None:
         g = self.graph
-        if g.r != self.r:
+        if not (_is_int(self.r) and self.r == g.r):
             raise CertificateError(f"graph uniformity {g.r} != r = {self.r}")
         if not self.sequence:
             raise CertificateError("empty sequence")

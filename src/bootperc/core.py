@@ -5,7 +5,9 @@ label (layer, index) mapped to ids layer-major so that growing the top
 layer never re-indexes existing vertices.  An edge is a strictly
 increasing tuple of ids; a hypergraph is an immutable set of such edges
 plus the ambient vertex count, iterated in lexicographic order so every
-downstream artifact is reproducible byte for byte.
+downstream artifact is reproducible byte for byte.  This module is the
+data model only: the update rule, down to the tuples it enumerates, is
+in ``engine``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from operator import itemgetter, lt
 
 Edge = tuple[int, ...]
@@ -138,41 +139,6 @@ def _canonical(edges: Collection, r: int, n: int, kind: type = tuple) -> bool:
     pairs = (map(lt, map(a, edges), map(b, edges)) for a, b in zip(column, column[1:]))
     in_range = min(map(column[0], edges)) >= 0 and max(map(column[-1], edges)) < n
     return in_range and all(map(all, pairs))
-
-
-def _supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All sorted m-vertex tuples over [0, n) containing the canonical edge ``e``, with
-    m > len(e), unchecked: in lex order of the added vertex set (for m = len(e) + 1, the
-    n - r single-vertex extensions, each yielded as it is built).  No tuple is sorted."""
-    return _one_more(e, 0, n) if m == len(e) + 1 else iter(_inserted(e, 0, n, m - len(e)))
-
-
-def _one_more(tail: Edge, lo: int, n: int) -> Iterator[tuple[int, ...]]:
-    """``tail`` with one vertex of [lo, n) outside it inserted at its gap, in vertex order."""
-    for p, hi in enumerate(tail + (n,)):
-        pre, suf = tail[:p], tail[p:]
-        for v in range(lo, hi):
-            yield pre + (v,) + suf
-        lo = hi + 1
-
-
-def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
-    """``tail`` with k vertices of [lo, n) outside it inserted at their gaps, in lex order
-    of the k; every vertex of ``tail`` is at least ``lo``.  For k > 1 and a first added v
-    before tail[p], the rest are the last C(|(v, n) - tail[p:]|, k - 1) tuples of
-    ``_inserted(tail[p:], lo + 1, n, k - 1)``: those adding vertices above v only."""
-    if k == 1:
-        return list(_one_more(tail, lo, n))
-    out: list[tuple[int, ...]] = []
-    for p, hi in enumerate(tail + (n,)):
-        if lo < hi:
-            pre, suf = tail[:p], tail[p:]
-            rest = _inserted(suf, lo + 1, n, k - 1)
-            for v in range(lo, hi):
-                head = pre + (v,)
-                out += [head + q for q in rest[len(rest) - comb(n - v - 1 - len(suf), k - 1):]]
-        lo = hi + 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,12 @@ the running time T are read off the two:
   new edges (sound because an edge infectable at step i+1 but not at
   step i must share a tuple with a step-i edge), those through the
   uninfected edges (sound because a new edge is uninfected and lies in
-  the tuple that fires it), or all C(n, m) tuples.  It streams them:
-  ``core._supersets`` builds each tuple sorted and ``_recount`` scans
-  its facets at once, so no candidate set is kept; a tuple reached from
-  two edges of a side is recounted twice, to the same result.
+  the tuple that fires it), listed afresh when taken, or all C(n, m)
+  tuples.  It keeps only the infected set and the frontier, and streams
+  the tuples: ``_supersets`` builds each one sorted and ``_recount``
+  scans its facets at once, so no candidate set is kept; a tuple
+  reached from two edges of a side is recounted twice, to the same
+  result.
 * :func:`run_fast` advances frontier levels on link masks: one int per
   (r-1)-set S, with bit v set when S | {v} is infected, so a few
   big-int ANDs decide every tuple through a frontier edge at once.  A
@@ -52,7 +54,7 @@ from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
-from .core import Edge, Hypergraph, _supersets
+from .core import Edge, Hypergraph, _is_int
 
 __all__ = [
     "InfectionTrace",
@@ -108,8 +110,9 @@ class RunResult:
 
 
 def _check_m(g: Hypergraph, m: int | None) -> int:
-    if m is None:
-        return g.r + 1
+    m = g.r + 1 if m is None else m
+    if not _is_int(m):
+        raise ValueError(f"clique size m must be an int, got {m!r}")
     if m < g.r + 1:
         raise ValueError(f"clique size m must be >= r+1 = {g.r + 1}, got {m}")
     return m
@@ -131,6 +134,41 @@ def _recount(tuples: Iterable[tuple[int, ...]], r: int, present: Collection[Edge
     return new
 
 
+def _supersets(e: Edge, n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """All sorted m-vertex tuples over [0, n) containing the canonical edge ``e``, with
+    m > len(e), unchecked: in lex order of the added vertex set (for m = len(e) + 1, the
+    n - r single-vertex extensions, each yielded as it is built).  No tuple is sorted."""
+    return _one_more(e, 0, n) if m == len(e) + 1 else iter(_inserted(e, 0, n, m - len(e)))
+
+
+def _one_more(tail: Edge, lo: int, n: int) -> Iterator[tuple[int, ...]]:
+    """``tail`` with one vertex of [lo, n) outside it inserted at its gap, in vertex order."""
+    for p, hi in enumerate(tail + (n,)):
+        pre, suf = tail[:p], tail[p:]
+        for v in range(lo, hi):
+            yield pre + (v,) + suf
+        lo = hi + 1
+
+
+def _inserted(tail: Edge, lo: int, n: int, k: int) -> list[tuple[int, ...]]:
+    """``tail`` with k vertices of [lo, n) outside it inserted at their gaps, in lex order
+    of the k; every vertex of ``tail`` is at least ``lo``.  For k > 1 and a first added v
+    before tail[p], the rest are the last C(|(v, n) - tail[p:]|, k - 1) tuples of
+    ``_inserted(tail[p:], lo + 1, n, k - 1)``: those adding vertices above v only."""
+    if k == 1:
+        return list(_one_more(tail, lo, n))
+    out: list[tuple[int, ...]] = []
+    for p, hi in enumerate(tail + (n,)):
+        if lo < hi:
+            pre, suf = tail[:p], tail[p:]
+            rest = _inserted(suf, lo + 1, n, k - 1)
+            for v in range(lo, hi):
+                head = pre + (v,)
+                out += [head + q for q in rest[len(rest) - comb(n - v - 1 - len(suf), k - 1):]]
+        lo = hi + 1
+    return out
+
+
 def step(g: Hypergraph, m: int | None = None) -> frozenset[Edge]:
     """One synchronous generation: every edge infectable from ``g``.
 
@@ -147,15 +185,14 @@ def _naive_generations(
     """Yield each generation's new edges, added to ``infected`` (after the generation, so
     a frozenset, untouched, serves a caller that reads only the first), recounting the
     side with the fewest tuples: the m-tuples through the previous generation's
-    edges (first ``frontier``), those through the uninfected edges (a set built
-    the first time it is used), or all C(n, m) tuples.  A first ``frontier``
+    edges (first ``frontier``), those through the uninfected edges (listed afresh
+    when taken), or all C(n, m) tuples.  A first ``frontier``
     smaller than ``infected`` is exact when every m-tuple that fires first
     contains one of its edges.  Given a ``budget``, a generation whose recount
     would take the tuples recounted so far past it raises TupleBudgetExceeded."""
     if not frontier or m > n:  # nothing fires; C(n, r) alone takes seconds at huge n and r
         return
     total, sweep, per_edge = comb(n, r), comb(n, m), comb(n - r, m - r)
-    uninfected: set[Edge] | None = None
     recounted = 0
     while frontier:
         fewer = min(len(frontier), total - len(infected))
@@ -166,17 +203,13 @@ def _naive_generations(
             tuples = itertools.combinations(range(n), m)
         else:
             side = frontier
-            if fewer < len(frontier):
-                if uninfected is None:
-                    uninfected = {e for e in itertools.combinations(range(n), r) if e not in infected}
-                side = uninfected
+            if fewer < len(frontier):  # used up by _recount before infected changes
+                side = (e for e in itertools.combinations(range(n), r) if e not in infected)
             tuples = itertools.chain.from_iterable(_supersets(e, n, m) for e in side)
         new = _recount(tuples, r, infected)
         if not new:
             return
         infected |= new
-        if uninfected is not None:
-            uninfected -= new
         yield frozenset(new)
         frontier = new
 

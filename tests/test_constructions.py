@@ -10,6 +10,7 @@ import bootperc.core as core
 from bootperc import (
     CertificateError,
     Hypergraph,
+    SequentialCertificate,
     base_running_time,
     build_base,
     build_full,
@@ -319,6 +320,16 @@ class TestCertificateValidation:
             dataclasses.replace(cert, **{field: float(getattr(cert, field))})
         with pytest.raises(CertificateError, match="must be an int"):
             dataclasses.replace(cert, **{field: True})
+
+    def test_r_must_be_the_graphs_int(self):
+        # 3 == 3.0 and 1 == True: equality alone would pass a float or bool r, which glue refuses
+        cert = build_base(2)
+        with pytest.raises(CertificateError, match=r"^graph uniformity 3 != r = 3\.0$"):
+            dataclasses.replace(cert, r=3.0)
+        points = Hypergraph.from_edges(3, 1, [(0,)])
+        one = SequentialCertificate(points, (0,), ((0,), (1,)), r=1, k=1, predicted_t=1, apex=None)
+        with pytest.raises(CertificateError, match=r"^graph uniformity 1 != r = True$"):
+            dataclasses.replace(one, r=True)
 
     def test_sequence_head_must_be_ignition(self):
         cert = build_base(2)

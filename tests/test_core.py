@@ -12,12 +12,12 @@ from bootperc.core import (
     VertexLabel,
     VertexRangeError,
     VertexTypeError,
-    _supersets,
     id_to_label,
     label_to_id,
     layer_width,
     make_edge,
 )
+from bootperc.engine import _supersets
 
 from helpers import forbid_revalidation, sorting_supersets
 

@@ -9,7 +9,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bootperc import (
@@ -29,8 +29,9 @@ from bootperc import (
     step,
     verify_sequential,
 )
-from bootperc.core import _supersets
-from bootperc.engine import DEFAULT_MAX_TUPLES, _comb_over, _LinkState, _naive_generations
+from bootperc.engine import (
+    DEFAULT_MAX_TUPLES, _comb_over, _LinkState, _naive_generations, _supersets,
+)
 
 from helpers import (
     count_supersets,
@@ -83,6 +84,16 @@ class TestStep:
         with pytest.raises(ValueError):
             step(g, m=3)
 
+    @pytest.mark.parametrize("m", [4.0, 5.0, "5"])
+    @pytest.mark.parametrize("run", [step, run_naive, run_fast])
+    def test_non_int_m_rejected(self, run, m):
+        # a float m would otherwise reach range() or comb() inside the engine as a TypeError
+        g, _ = near_complete(5, 3)
+        with pytest.raises(ValueError, match=f"clique size m must be an int, got {m!r}"):
+            run(g, m=m)
+        with pytest.raises(ValueError, match=r"^clique size m must be >= r\+1 = 4, got 3$"):
+            run(g, m=3)
+
 
 class TestIsStationary:
     def test_empty(self):
@@ -103,7 +114,7 @@ class TestRunNaive:
         assert res.running_time == 0 and len(res.trace) == 0
 
     def test_recount_checks_no_edge_it_already_owns(self, monkeypatch):
-        # every edge the recount extends is canonical already, so core._supersets takes
+        # every edge the recount extends is canonical already, so _supersets takes
         # it unchecked: no edge goes through make_edge again
         g = random_hypergraph(random.Random(1), 30, 2, 0.06)
         fast = run_fast(g)
@@ -214,6 +225,19 @@ class TestRunNaive:
         assert list(_naive_generations(g.n, g.r, 3, set(g.edges), g.edges, spent)) == steps
         with pytest.raises(TupleBudgetExceeded):
             list(_naive_generations(g.n, g.r, 3, set(g.edges), g.edges, spent - 1))
+
+    def test_uninfected_side_is_listed_not_kept(self):
+        # the complete graph on [10, 200) is stationary, and its 1,945 uninfected edges are
+        # fewer than its 17,955 edges, whose tuples are fewer than all C(200, 3): the one
+        # generation recounts through the uninfected side; a set of it takes 240 KB
+        n, r, m = 200, 2, 3
+        infected = set(itertools.combinations(range(10, n), r))
+        frontier = frozenset(infected)
+        uninfected = comb(n, r) - len(infected)
+        assert uninfected < len(frontier) and uninfected * (n - r) < comb(n, m)
+        got, peak = peak_traced_bytes(lambda: list(_naive_generations(n, r, m, infected, frontier)))
+        assert got == [] and len(infected) == len(frontier)
+        assert peak < 32 * 1024
 
     def test_dense_generations_recount_through_the_uninfected_edges(self, monkeypatch):
         # through each generation's frontier alone this run recounts 410,326 tuples
@@ -537,6 +561,35 @@ class TestRecountAgainstPerTupleLoop:
 
         check()
         assert took_uninfected and took_sweep
+
+
+def recount_sides(g: Hypergraph, m: int, steps) -> str:
+    """Each generation's recount side, F (frontier), U (uninfected) or S (sweep), the
+    last being the one that finds nothing: the rule of ``_naive_generations``."""
+    sides, infected, frontier = [], len(g), len(g)
+    for new in [*map(len, steps), 0]:
+        if not frontier:
+            break
+        fewer = min(frontier, comb(g.n, g.r) - infected)
+        if comb(g.n, m) <= fewer * comb(g.n - g.r, m - g.r):
+            sides.append("S")
+        else:
+            sides.append("U" if fewer < frontier else "F")
+        infected, frontier = infected + new, new
+    return "".join(sides)
+
+
+class TestUninfectedSideTwiceInARow:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.integers(12, 40), p=st.floats(0.2, 0.4), seed=st.integers(0, 2**32 - 1))
+    def test_naive_generations_match_the_reference_and_fast(self, n, p, seed):
+        # such draws take sides such as FUU and SUU, with generations like 85, 47, 1
+        g = random_hypergraph(random.Random(seed), n, 2, p)
+        fast = run_fast(g).trace.steps
+        assume("UU" in recount_sides(g, 3, fast))
+        got = list(_naive_generations(g.n, 2, 3, set(g.edges), g.edges))
+        assert got == reference_naive_generations(g.n, 2, 3, set(g.edges), g.edges)
+        assert tuple(got) == fast
 
 
 class TestProcessProperties:

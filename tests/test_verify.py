@@ -23,8 +23,7 @@ from bootperc import (
     verify,
     verify_sequential,
 )
-from bootperc.core import _supersets
-from bootperc.engine import DEFAULT_MAX_TUPLES, _LinkState, _naive_generations
+from bootperc.engine import DEFAULT_MAX_TUPLES, _LinkState, _naive_generations, _supersets
 from bootperc.verify import (
     NAIVE_CROSS_CHECK_LIMIT, EngineDisagreement, _chunk_planes, _generations, _tuple_facets,
 )
