@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as EULER_E, isqrt
@@ -156,7 +157,7 @@ def predicted_base_edge(k: int, i: int) -> Edge:
     return (_vid(1, j1, k), _vid(2, j2, k), _vid(3, 1, k))
 
 
-def _scaffold_edges(k: int) -> set[Edge]:
+def _scaffold_edges(k: int) -> Iterator[Edge]:
     """Initially infected 3-edges inside the two paths (no apex).
 
     Four families per stage i: a left path vertex fanning over
@@ -165,26 +166,22 @@ def _scaffold_edges(k: int) -> set[Edge]:
     further in.  Families are pairwise disjoint by construction: anchors
     of stages i and i' could meet only if i + i' >= 2k - 1.
     """
-    out: set[Edge] = set()
     for i in range(1, k):
         lo, hi = 2 * i - 1, 4 * k - 2 - 2 * i
         for j in range(lo, hi + 1):
-            out.add((_vid(1, lo, k), _vid(2, j, k), _vid(2, j + 1, k)))
-            out.add((_vid(1, j, k), _vid(1, j + 1, k), _vid(2, hi + 1, k)))
+            yield (_vid(1, lo, k), _vid(2, j, k), _vid(2, j + 1, k))
+            yield (_vid(1, j, k), _vid(1, j + 1, k), _vid(2, hi + 1, k))
         for j in range(lo + 2, hi + 1):
-            out.add((_vid(1, hi + 1, k), _vid(2, j, k), _vid(2, j + 1, k)))
-            out.add((_vid(1, j, k), _vid(1, j + 1, k), _vid(2, lo + 2, k)))
-    return out
+            yield (_vid(1, hi + 1, k), _vid(2, j, k), _vid(2, j + 1, k))
+            yield (_vid(1, j, k), _vid(1, j + 1, k), _vid(2, lo + 2, k))
 
 
-def _apex_strip_edges(k: int) -> set[Edge]:
+def _apex_strip_edges(k: int) -> Iterator[Edge]:
     """Apex plus each consecutive vertex pair along either path."""
     apex = _vid(3, 1, k)
-    out: set[Edge] = set()
     for layer in (1, 2):
         for j in range(1, layer_width(k)):
-            out.add((_vid(layer, j, k), _vid(layer, j + 1, k), apex))
-    return out
+            yield (_vid(layer, j, k), _vid(layer, j + 1, k), apex)
 
 
 def build_base(k: int) -> SequentialCertificate:
@@ -200,11 +197,11 @@ def build_base(k: int) -> SequentialCertificate:
     n = 2 * layer_width(k) + 1
     apex = _vid(3, 1, k)
     ignition = (_vid(1, 1, k), _vid(2, 1, k), apex)
-    edges = _scaffold_edges(k) | _apex_strip_edges(k) | {ignition}
+    edges = frozenset(itertools.chain(_scaffold_edges(k), _apex_strip_edges(k), (ignition,)))
     t1 = base_running_time(k)
     sequence = (ignition,) + tuple(predicted_base_edge(k, i) for i in range(1, t1 + 1))
     return SequentialCertificate(
-        graph=Hypergraph._trusted(n, 3, frozenset(edges)),
+        graph=Hypergraph._trusted(n, 3, edges),
         ignition=ignition,
         sequence=sequence,
         r=3,
@@ -251,10 +248,6 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
             f"(n = {(r - 1) * w + 1}, apex id {(r - 1) * w})"
         )
     apex = cert.apex
-
-    def top(j: int) -> int:
-        return _vid(r, j, k)
-
     # the apex is the largest vertex and a_j >= apex: stub + (a_j,) stays sorted
     stubs = [edge[:-1] for edge in cert.sequence]
     graph_stubs = [e[:-1] for e in cert.graph.edges if e[-1] == apex and e != cert.ignition]
@@ -264,7 +257,7 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
     sequence: list[Edge] = []
     copies = 2 * k - 1
     for j in range(1, copies + 1):
-        a_j = top(2 * j - 1)
+        a_j = _vid(r, 2 * j - 1, k)
         edges.update(stub + (a_j,) for stub in graph_stubs)
         leg = [stub + (a_j,) for stub in stubs]
         if j % 2 == 0:
@@ -272,8 +265,8 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
         sequence.extend(leg)
         if j < copies:
             stub = leg[-1][:-1]
-            edges |= _bridge_gadget((a_j, top(2 * j), top(2 * j + 1)), stub, r)
-            sequence.append(stub + (top(2 * j),))
+            edges |= _bridge_gadget((a_j, _vid(r, 2 * j, k), _vid(r, 2 * j + 1, k)), stub, r)
+            sequence.append(stub + (_vid(r, 2 * j, k),))
 
     predicted = copies * cert.predicted_t + 4 * (k - 1)
     return SequentialCertificate(

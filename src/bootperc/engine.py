@@ -274,6 +274,8 @@ def _idle(g: Hypergraph, m: int) -> bool:
 def _budget(g: Hypergraph, m: int, max_tuples: int | None) -> int:
     """The tuple cap, DEFAULT_MAX_TUPLES unless given, checked against ``g`` up front."""
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
+    if not _is_int(budget):
+        raise ValueError(f"max_tuples must be an int, got {budget!r}")
     if budget < 0:
         raise ValueError(f"max_tuples must be >= 0, got {budget}")
     if g.edges and _comb_over(g.n - g.r, m - g.r, budget):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb, inf
 
 from .constructions import SequentialCertificate
-from .core import Edge, Hypergraph
+from .core import Edge, Hypergraph, _is_int
 from .engine import _bits, _budget, _comb_over, _LinkState, _naive_generations, _vertices
 
 __all__ = [
@@ -340,6 +340,9 @@ def brute_force_max_time(
     when C(n, r) > ``cap``, decided by the engines' ``_comb_over``
     before C(n, r) is computed.
     """
+    if not all(map(_is_int, (r, n, jobs, cap))):
+        raise ValueError("r, n, jobs and cap must be ints, "
+                         f"got r={r!r}, n={n!r}, jobs={jobs!r}, cap={cap!r}")
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if n < r:

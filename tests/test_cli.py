@@ -26,6 +26,13 @@ def base_cert_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def full42_cert_file(tmp_path):
+    path = tmp_path / "full42.cert.json"
+    assert main(["build", "--r", "4", "--k", "2", "--out", str(path)]) == 0
+    return path
+
+
 ONE_EDGE = {"format_version": "1", "r": 2, "n": 40, "edges": [[0, 1]]}
 HUGE_EMPTY = {"format_version": "1", "r": 200_000, "n": 10**30, "edges": []}
 
@@ -71,23 +78,27 @@ class TestBuild:
 
 
 class TestRun:
-    def test_run_certificate_both_engines(self, base_cert_file, capsys, tmp_path):
-        outputs = []
-        traces = []
-        for engine in ("fast", "naive"):
-            trace_path = tmp_path / f"{engine}.trace.jsonl"
-            rc = main([
-                "run", "--in", str(base_cert_file),
-                "--engine", engine, "--trace", str(trace_path),
-            ])
-            assert rc == 0
-            outputs.append(capsys.readouterr().out)
-            traces.append(trace_path.read_text())
-        assert outputs[0] == outputs[1] == "T=12\n"
-        assert traces[0] == traces[1]
-        assert traces[0].splitlines()[0] == json.dumps(
-            {"format_version": "1", "r": 3, "n": 11, "t": 12}
-        )
+    def test_run_certificate_both_engines(self, base_cert_file, full42_cert_file, capsys, tmp_path):
+        # each step of either certificate infects one edge: a trace is a header and T records
+        for path, t, header in [
+            (base_cert_file, 12, '{"format_version": "1", "r": 3, "n": 11, "t": 12}'),
+            (full42_cert_file, 124, '{"format_version": "1", "r": 4, "n": 20, "t": 124}'),
+        ]:
+            outputs = []
+            traces = []
+            for engine in ("fast", "naive"):
+                trace_path = tmp_path / f"{engine}.trace.jsonl"
+                rc = main([
+                    "run", "--in", str(path),
+                    "--engine", engine, "--trace", str(trace_path),
+                ])
+                assert rc == 0
+                outputs.append(capsys.readouterr().out)
+                traces.append(trace_path.read_text())
+            assert outputs[0] == outputs[1] == f"T={t}\n"
+            assert traces[0] == traces[1]
+            assert traces[0].splitlines()[0] == header
+            assert len(traces[0].splitlines()) == t + 1
 
     def test_run_plain_graph_document(self, tmp_path, capsys):
         path = tmp_path / "empty.graph.json"
@@ -135,10 +146,14 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error: syntax") and "Traceback" not in err
 
-    def test_tuple_budget_exhaustion(self, base_cert_file):
-        assert main([
-            "run", "--in", str(base_cert_file), "--max-tuples", "2",
-        ]) == 3
+    def test_tuple_budget_exhaustion(self, base_cert_file, full42_cert_file, capsys):
+        # each base edge meets C(8, 1) = 8 triangles, which the up-front check refuses; each
+        # (4,2) edge meets C(16, 1) = 16 5-tuples, which it admits, but C(20, 5) = 15,504 > 100:
+        # the link state counts the tuples it meets and stops at the cap
+        for path, cap in [(base_cert_file, "2"), (full42_cert_file, "100")]:
+            assert main(["run", "--in", str(path), "--max-tuples", cap]) == 3
+            assert capsys.readouterr() == ("", f"error: more than {cap} distinct m-tuples meet "
+                                               "the infected graph; raise --max-tuples\n")
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_negative_budget_is_a_usage_error(self, base_cert_file, capsys, command):
@@ -196,9 +211,10 @@ class TestVerify:
     def test_valid_certificate(self, base_cert_file, capsys):
         assert main(["verify", "--in", str(base_cert_file)]) == 0
         out = capsys.readouterr().out
-        assert "property_i=pass" in out
-        assert "property_ii=pass" in out
-        assert "property_iii=pass" in out
+        lines = out.splitlines()
+        assert "property_i=pass" in lines
+        assert "property_ii=pass" in lines
+        assert "property_iii=pass" in lines
         assert "measured_T_forward=12" in out
 
     def test_corrupted_certificate_fails_with_divergence(self, base_cert_file, capsys):
@@ -206,7 +222,7 @@ class TestVerify:
         assert main(["verify", "--in", str(base_cert_file)]) == 1
         out = capsys.readouterr().out
         assert "property_i=fail" in out
-        assert "first_divergence: step=5" in out
+        assert "\nfirst_divergence: step=5 " in out
 
     def test_structural_corruption_is_a_parse_error(self, base_cert_file):
         corrupt_sequence_entry(base_cert_file, 5, (0, 1, 9))  # already in the graph
@@ -248,9 +264,10 @@ class TestBounds:
     def test_r3_n18(self, capsys):
         assert main(["bounds", "--r", "3", "--n", "18"]) == 0
         captured = capsys.readouterr()
-        assert "lower = 27/8 = 3.375" in captured.out
-        assert "upper_exact = 816" in captured.out
-        assert "k = 2" in captured.out
+        lines = captured.out.splitlines()
+        assert "lower = 27/8 = 3.375" in lines
+        assert "upper_exact = 816" in lines
+        assert "k = 2" in lines
         assert captured.err == ""
 
     def test_warning_below_threshold(self, capsys):
@@ -287,10 +304,14 @@ class TestBrute:
         assert "[0, 1, 2]" in out
 
     def test_jobs_invariant_output(self, capsys):
-        assert main(["brute", "--r", "3", "--n", "5", "--jobs", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(["brute", "--r", "3", "--n", "5", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == first
+        # (3,5) is one chunk of masks, so --jobs 2 starts no pool; (3,6) has 16 chunks, which
+        # --jobs 2 scans in a pool of two workers where two CPUs are usable
+        for n, max_t in [("5", 2), ("6", 4)]:
+            assert main(["brute", "--r", "3", "--n", n, "--jobs", "1"]) == 0
+            first = capsys.readouterr().out
+            assert main(["brute", "--r", "3", "--n", n, "--jobs", "2"]) == 0
+            assert capsys.readouterr().out == first
+            assert first.startswith(f"max_T={max_t} ")
 
     def test_cap_exceeded(self, capsys):
         assert main(["brute", "--r", "3", "--n", "8"]) == 3
@@ -448,9 +469,13 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ["brute", "--r", "3", "--n", "5"], ["brute", "--r", "3", "--n", "7"], ["build", "--r", "3"],
-    ], ids=["ok", "cap", "usage"])
-    def test_module_entry_point_is_main(self, argv, capsys):
-        # ``python -m bootperc.cli`` runs the ``__main__`` block, which exits with main's code
+        ["run", "--in", "CERT", "--engine", "naive"], ["verify", "--in", "CERT"],
+        ["bounds", "--r", "3", "--n", "18"], ["check-base", "--k", "3"],
+    ], ids=["ok", "cap", "usage", "run", "verify", "bounds", "check-base"])
+    def test_module_entry_point_is_main(self, argv, base_cert_file, capsys):
+        # ``python -m bootperc.cli`` runs the ``__main__`` block, which exits with main's code;
+        # each of the six subcommands runs once as that process
+        argv = [str(base_cert_file) if arg == "CERT" else arg for arg in argv]
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         child = subprocess.run([sys.executable, "-m", "bootperc.cli", *argv], capture_output=True,
                                text=True, timeout=30, env=env)
@@ -583,6 +608,12 @@ class TestArgumentFuzz:
             argv = ["brute", "--r", r, "--n", n, "--jobs", jobs]
             argv += [] if cap is None else ["--cap", cap]
             assert assert_bounded_exit(argv, capsys) in (0, 2, 3)
+        if (r, n) == ("2", HUGE):
+            with deadline(2):
+                assert main(["brute", "--r", r, "--n", n, "--cap", WIDE]) == 3
+            assert capsys.readouterr() == (
+                "", "error: out of memory: the input needs more than is available\n"
+            )
 
     @pytest.mark.parametrize("n", [10**12, int(WIDE)], ids=["1e12", "wide"])
     @pytest.mark.parametrize("engine", ["fast", "naive"])

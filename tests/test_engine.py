@@ -243,7 +243,8 @@ class TestRunNaive:
         # through each generation's frontier alone this run recounts 410,326 tuples
         g = random_hypergraph(random.Random(5), 100, 2, 0.03)
         counts = count_supersets(monkeypatch)
-        assert run_naive(g) == run_fast(g)
+        result = run_naive(g)
+        assert result == run_fast(g) and result.running_time == 4
         assert counts["tuples"] <= 295_568
 
 
@@ -336,6 +337,21 @@ class TestRunFast:
         with pytest.raises(ValueError):
             run_fast(g, max_tuples=-1)
         assert run_fast(Hypergraph(n=4, r=3, edges=frozenset()), max_tuples=0).running_time == 0
+
+    @pytest.mark.parametrize("cap", [True, 2.5, 1e9, "5"])
+    @pytest.mark.parametrize("run", [run_fast, verify_sequential])
+    def test_non_int_budget_rejected(self, run, cap):
+        # refused before the sign and cap checks, which compare a bool or float as a number
+        # and raise TypeError on a str
+        cert = build_base(2)
+        arg = cert.graph if run is run_fast else cert
+        with pytest.raises(ValueError, match=f"^max_tuples must be an int, got {cap!r}$") as info:
+            run(arg, max_tuples=cap)
+        assert not isinstance(info.value, TupleBudgetExceeded)
+        # each edge of the k = 2 base meets C(8, 1) = 8 triangles
+        with pytest.raises(TupleBudgetExceeded,
+                           match="^more than 2 distinct m-tuples meet the infected graph$"):
+            run(arg, max_tuples=2)
 
     def test_trace_steps_start_at_one(self):
         g, missing = near_complete(4, 3)

@@ -359,6 +359,20 @@ class TestBruteForce:
             brute_force_max_time(r, n, jobs=jobs)
         assert not isinstance(info.value, SearchCapExceeded)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "5", 5.0])
+    @pytest.mark.parametrize("name", ["r", "n", "jobs", "cap"])
+    def test_non_int_arguments_rejected(self, name, value):
+        # refused before the range and cap checks, which compare a bool or float as a number
+        # and raise TypeError on a str
+        args = {"r": 3, "n": 5, "jobs": 1, "cap": 24, name: value}
+        got = ", ".join(f"{k}={v!r}" for k, v in args.items())
+        message = f"^r, n, jobs and cap must be ints, got {got}$"
+        with pytest.raises(ValueError, match=message) as info:
+            brute_force_max_time(**args)
+        assert not isinstance(info.value, SearchCapExceeded)
+        with pytest.raises(SearchCapExceeded, match=r"^C\(5,3\) exceeds the cap of 5 edges$"):
+            brute_force_max_time(3, 5, cap=5)
+
     def test_one_edge_is_answered_without_a_scan(self, monkeypatch):
         # r = n: both masks of the one edge have T = 0, as a scan of them finds
         assert verify._scan_chunk(_tuple_facets(4, 4), 1, 1, 0) == (0, 0)
