@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="maximum edge count C(n, r) to allow")
     p.set_defaults(func=cmd_brute)
 
-    p = sub.add_parser("check-base", help="density and closed-form replay check of the seed")
+    p = sub.add_parser("check-base", help="density and predicted-sequence replay check of the seed")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_check_base)
 

@@ -13,8 +13,13 @@ runs for Theta(n^r) steps:
   edge and the complete (r+1)-graph on the old vertex set is
   pre-infected, preserving the running time and restoring an apex.
 
-Sequences are generated from closed forms, never by running the
-engine, so an engine replay is an independent check of both.
+The seed's sequence runs in k-1 stages over the two paths, each four
+legs long with the apex in every edge: a fan out from one first-path
+vertex along the second path, the first path's advance against the
+second path's far vertex, a fan back from the first path's far vertex,
+and the first path's retreat.  Sequences are written out from this
+layout, never by running the engine, so an engine replay is an
+independent check of both.
 
 Ids are layer-major and each apex is its stage's largest vertex, so the
 generators build sorted tuples in range and check none: the test suite
@@ -29,7 +34,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, e as EULER_E, isqrt
+from math import comb, e as EULER_E
 
 from .core import Edge, Hypergraph, _canonical, _is_int, layer_width, make_edge
 
@@ -40,7 +45,6 @@ __all__ = [
     "base_running_time",
     "full_running_time",
     "build_base",
-    "predicted_base_edge",
     "glue",
     "lift",
     "build_full",
@@ -90,6 +94,8 @@ class SequentialCertificate:
                     raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
                 if i >= 1 and edge in g:
                     raise CertificateError(f"sequence[{i}] already lies in the graph")
+        if not _is_int(self.k):
+            raise CertificateError(f"k must be an int, got {self.k!r}")
         if not _is_int(self.predicted_t):
             raise CertificateError(f"predicted_t must be an int, got {self.predicted_t!r}")
         if self.predicted_t != len(self.sequence) - 1:
@@ -107,6 +113,14 @@ class SequentialCertificate:
                     raise CertificateError(f"apex {self.apex} missing from {edge}")
 
 
+def _check_int(name: str, value: object, least: int | None = None) -> None:
+    """Refuse a size that is not a plain int, or one below ``least`` if given."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def base_running_time(k: int) -> int:
     """Predicted steps of the 3-uniform seed: 8k^2 - 12k + 4."""
     return 8 * k * k - 12 * k + 4
@@ -120,41 +134,6 @@ def full_running_time(r: int, k: int) -> int:
 def _vid(layer: int, index: int, k: int) -> int:
     """:func:`core.label_to_id` by arithmetic: the generators name only labels in the grid."""
     return (layer - 1) * (4 * k - 3) + index - 1
-
-
-def _stage_total(s: int, k: int) -> int:
-    # steps completed after stage s: sum of 16(k-j)-4 for j = 1..s
-    return s * (16 * k - 8 * s - 12)
-
-
-def _stage(k: int, i: int) -> int:
-    """Least s >= 1 with i <= _stage_total(s, k), from the lower root of 8s^2 - (16k-12)s + i."""
-    s = max(((4 * k - 3) - isqrt((4 * k - 3) ** 2 - 2 * i)) // 4, 1)  # at most one stage short
-    return s + 1 if i > _stage_total(s, k) else s
-
-
-def predicted_base_edge(k: int, i: int) -> Edge:
-    """Closed form for the edge infected at step i when replaying the seed graph.
-
-    The process sweeps the two paths in stages; within stage s the step
-    offset selects one of four legs (apex-path fan out, first path
-    advance, apex-path fan back, second path retreat).
-    """
-    t1 = base_running_time(k)
-    if k < 2 or not 1 <= i <= t1:  # below k = 2, ids would leave the grid
-        raise ValueError(f"need k >= 2 and a step index in [1, {t1}], got k={k}, i={i}")
-    s = _stage(k, i)
-    offset = i - _stage_total(s - 1, k)
-    q = k - s
-    if offset <= 4 * q:
-        j1, j2 = 2 * s - 1, 2 * s - 1 + offset
-    elif offset <= 8 * q:
-        j1, j2 = 6 * s - 4 * k - 1 + offset, 4 * k - 2 * s - 1
-    elif offset <= 12 * q - 2:
-        j1, j2 = 4 * k - 2 * s - 1, 12 * k - 10 * s - 1 - offset
-    else:
-        j1, j2 = 16 * k - 14 * s - 3 - offset, 2 * s + 1
-    return (_vid(1, j1, k), _vid(2, j2, k), _vid(3, 1, k))
 
 
 def _scaffold_edges(k: int) -> Iterator[Edge]:
@@ -184,29 +163,39 @@ def _apex_strip_edges(k: int) -> Iterator[Edge]:
             yield (_vid(layer, j, k), _vid(layer, j + 1, k), apex)
 
 
+def _base_sequence(k: int) -> Iterator[Edge]:
+    """The seed's steps 1..8k^2-12k+4: four legs per stage, in :func:`_scaffold_edges`' frame."""
+    apex = _vid(3, 1, k)
+    for i in range(1, k):
+        lo, hi = 2 * i - 1, 4 * k - 2 - 2 * i
+        out, back = range(lo + 1, hi + 2), range(hi, lo + 1, -1)
+        yield from ((_vid(1, lo, k), _vid(2, j, k), apex) for j in out)
+        yield from ((_vid(1, j, k), _vid(2, hi + 1, k), apex) for j in out)
+        yield from ((_vid(1, hi + 1, k), _vid(2, j, k), apex) for j in back)
+        yield from ((_vid(1, j, k), _vid(2, lo + 2, k), apex) for j in back)
+
+
 def build_base(k: int) -> SequentialCertificate:
     """The 3-uniform seed certificate on 2(4k-3)+1 vertices, k >= 2.
 
     Initial edges: the path scaffold, the apex strip, and the ignition
     edge joining the two path heads to the apex.  Predicted running
     time 8k^2 - 12k + 4, one edge per step, all infected edges
-    containing the apex.
+    containing the apex: k-1 stages of four legs, the fan out, the
+    first path's advance, the fan back and the first path's retreat.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_int("k", k, 2)
     n = 2 * layer_width(k) + 1
     apex = _vid(3, 1, k)
     ignition = (_vid(1, 1, k), _vid(2, 1, k), apex)
     edges = frozenset(itertools.chain(_scaffold_edges(k), _apex_strip_edges(k), (ignition,)))
-    t1 = base_running_time(k)
-    sequence = (ignition,) + tuple(predicted_base_edge(k, i) for i in range(1, t1 + 1))
     return SequentialCertificate(
         graph=Hypergraph._trusted(n, 3, edges),
         ignition=ignition,
-        sequence=sequence,
+        sequence=(ignition,) + tuple(_base_sequence(k)),
         r=3,
         k=k,
-        predicted_t=t1,
+        predicted_t=base_running_time(k),
         apex=apex,
     )
 
@@ -315,8 +304,7 @@ def build_full(r: int, k: int) -> SequentialCertificate:
     The 3-uniform seed glued, then lifted and glued again r-3 times;
     predicted running time (2k-1)^(r-2) (8k^2-12k+6) - 2.
     """
-    if r < 3:
-        raise ValueError(f"r must be >= 3, got {r}")
+    _check_int("r", r, 3)
     cert = glue(build_base(k))
     for _ in range(r - 3):
         cert = glue(lift(cert))
@@ -341,6 +329,8 @@ class Bounds:
 
 def k_for_n(r: int, n: int) -> int:
     """Largest k with r(4k-3) <= n of the form floor((n/r + 3)/4), exactly."""
+    _check_int("r", r, 1)
+    _check_int("n", n)
     return (n + 3 * r) // (4 * r)
 
 
@@ -354,8 +344,8 @@ def theorem_bounds(r: int, n: int) -> Bounds:
     bound is not guaranteed.  ValueError when n**r or r**r could pass
     2^16 bits, OverflowError when the analytic cap overflows a float.
     """
-    if r < 3:
-        raise ValueError(f"r must be >= 3, got {r}")
+    _check_int("r", r, 3)
+    k = k_for_n(r, n)
     bits = r * max(abs(n), r).bit_length()  # bounds the bits of n**r and r**r
     if bits > _MAX_POWER_BITS:
         raise ValueError(f"n**r or r**r would have up to {bits} bits, above {_MAX_POWER_BITS}")
@@ -369,7 +359,7 @@ def theorem_bounds(r: int, n: int) -> Bounds:
         lower=lower,
         upper_exact=comb(n, r),
         upper_analytic=(n * EULER_E / r) ** r,
-        k_of_n=k_for_n(r, n),
+        k_of_n=k,
     )
 
 
@@ -379,8 +369,8 @@ def witness_for_n(r: int, n: int) -> Hypergraph:
     The full construction for k = k_for_n(r, n), padded with isolated
     vertices up to exactly n.
     """
-    if r < 3:
-        raise ValueError(f"r must be >= 3, got {r}")
+    _check_int("r", r, 3)
+    k = k_for_n(r, n)
     if n < 2 * r * r:
         raise ValueError(f"n must be >= 2r^2 = {2 * r * r}, got {n}")
-    return build_full(r, k_for_n(r, n)).graph.padded(n)  # r(4k - 3) <= n by k_for_n
+    return build_full(r, k).graph.padded(n)  # r(4k - 3) <= n by k_for_n

@@ -418,14 +418,13 @@ class TestCheckBase:
         )
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        true_edge = constructions.predicted_base_edge
+        true_sequence = constructions._base_sequence
 
-        def faulty(k, i):
-            if i == 5:
-                return (0, 2, 10)
-            return true_edge(k, i)
+        def faulty(k):
+            for i, edge in enumerate(true_sequence(k), 1):
+                yield (0, 2, 10) if i == 5 else edge
 
-        monkeypatch.setattr(constructions, "predicted_base_edge", faulty)
+        monkeypatch.setattr(constructions, "_base_sequence", faulty)
         assert main(["check-base", "--k", "2"]) == 1
         assert "mismatch at step 5" in capsys.readouterr().out
 

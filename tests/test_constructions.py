@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 from fractions import Fraction
 from math import comb, floor
@@ -18,7 +19,6 @@ from bootperc import (
     glue,
     k_for_n,
     lift,
-    predicted_base_edge,
     run_fast,
     theorem_bounds,
     witness_for_n,
@@ -69,44 +69,25 @@ class TestBuildBase:
 
 class TestPredictedBaseEdge:
     def test_first_step(self):
-        assert predicted_base_edge(2, 1) == (vid(1, 1, 2), vid(2, 2, 2), vid(3, 1, 2))
+        assert build_base(2).sequence[1] == (vid(1, 1, 2), vid(2, 2, 2), vid(3, 1, 2))
 
     def test_step_five(self):
-        assert predicted_base_edge(2, 5) == (vid(1, 2, 2), vid(2, 5, 2), vid(3, 1, 2))
+        assert build_base(2).sequence[5] == (vid(1, 2, 2), vid(2, 5, 2), vid(3, 1, 2))
 
     def test_last_step(self):
-        assert predicted_base_edge(2, 12) == (vid(1, 3, 2), vid(2, 3, 2), vid(3, 1, 2))
+        assert build_base(2).sequence[12] == (vid(1, 3, 2), vid(2, 3, 2), vid(3, 1, 2))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_final_edge_uses_middle_vertices(self, k):
-        e = predicted_base_edge(k, base_running_time(k))
+        e = build_base(k).sequence[base_running_time(k)]
         assert e == tuple(sorted((vid(1, 2 * k - 1, k), vid(2, 2 * k - 1, k), vid(3, 1, k))))
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_interval_cases_partition_all_steps(self, k):
-        seen = set()
-        for i in range(1, base_running_time(k) + 1):
-            e = predicted_base_edge(k, i)
-            assert len(e) == 3
-            seen.add(e)
-        assert len(seen) == base_running_time(k)
-
-    def test_closed_form_stage_matches_a_linear_scan(self):
-        for k in range(2, 61):
-            s = 1
-            for i in range(1, base_running_time(k) + 1):
-                while i > s * (16 * k - 8 * s - 12):  # steps completed after stage s
-                    s += 1
-                assert constructions._stage(k, i) == s, (k, i)
-        assert constructions._stage(60, base_running_time(60)) == 59  # discriminant 16
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            predicted_base_edge(2, 0)
-        with pytest.raises(ValueError):
-            predicted_base_edge(2, 13)
-        with pytest.raises(ValueError):
-            predicted_base_edge(0, 1)  # k = 0 has steps, but names ids off its grid
+    def test_sequences_are_pinned(self):
+        # every edge for k = 2..40: a change to the legs shows here
+        sequences = [build_base(k).sequence for k in range(2, 41)]
+        assert hashlib.sha256(repr(sequences).encode()).hexdigest() == (
+            "334dc111d9f0486c5fe01b9a93dc12f79cf9a26ec53282e474c113f2f455b886"
+        )
 
     def test_ids_by_arithmetic_are_labels_in_the_grid(self, monkeypatch):
         # the generators name ids unchecked; label_to_id refuses a label off the grid

@@ -23,7 +23,6 @@ from bootperc import (
     clique_census,
     engine,
     full_running_time,
-    predicted_base_edge,
     run_fast,
     run_naive,
     step,
@@ -62,7 +61,7 @@ class TestStep:
 
     def test_base_graph_first_infection(self):
         cert = build_base(2)
-        first = predicted_base_edge(2, 1)
+        first = cert.sequence[1]
         assert first == (0, 6, 10)
         assert step(cert.graph) == {first}
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bootperc.core as core
 import bootperc.io as bio
 from bootperc import (
+    CertificateError,
     Hypergraph,
     InfectionTrace,
     RunResult,
@@ -232,6 +233,10 @@ class TestEveryDocumentRoundTrips:
     def test_bad_k_is_refused(self, k):
         with pytest.raises(ValueError, match="invalid k"):
             GraphDocument(Hypergraph.complete(4, 3), k=k)
+        if type(k) is not int:  # the certificate refuses it before a document can
+            with pytest.raises(CertificateError, match=f"^k must be an int, got {k!r}$"):
+                dataclasses.replace(build_base(2), k=k)
+            return
         cert = dataclasses.replace(build_base(2), k=k)
         for make in (CertificateDocument, emit_certificate):
             with pytest.raises(ValueError, match="invalid k"):

@@ -18,10 +18,13 @@ from bootperc import (
     build_full,
     check_density,
     clique_census,
+    k_for_n,
     run_fast,
     run_naive,
+    theorem_bounds,
     verify,
     verify_sequential,
+    witness_for_n,
 )
 from bootperc.engine import DEFAULT_MAX_TUPLES, _LinkState, _naive_generations, _supersets
 from bootperc.verify import (
@@ -372,6 +375,23 @@ class TestBruteForce:
         assert not isinstance(info.value, SearchCapExceeded)
         with pytest.raises(SearchCapExceeded, match=r"^C\(5,3\) exceeds the cap of 5 edges$"):
             brute_force_max_time(3, 5, cap=5)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "make, args",
+        [(build_base, {"k": 2}), (build_full, {"r": 3, "k": 2}), (k_for_n, {"r": 3, "n": 18}),
+         (theorem_bounds, {"r": 3, "n": 18}), (witness_for_n, {"r": 3, "n": 18})],
+        ids=["build_base", "build_full", "k_for_n", "theorem_bounds", "witness_for_n"],
+    )
+    def test_non_int_construction_sizes_rejected(self, make, args, value):
+        # refused before any arithmetic, which compares a bool or float as a number
+        for name in args:
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+                make(**{**args, name: value})
+
+    def test_k_for_n_needs_a_positive_r(self):
+        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+            k_for_n(0, 5)
 
     def test_one_edge_is_answered_without_a_scan(self, monkeypatch):
         # r = n: both masks of the one edge have T = 0, as a scan of them finds

@@ -2,7 +2,9 @@
 
 The first is the ``wc -l`` total of its modules.  The second counts code
 lines only: lines that hold a token other than a comment, leaving out
-blank lines and module, class and function docstrings.
+blank lines and module, class and function docstrings.  A row per module
+follows the two totals, so a change in the totals can be traced to the
+modules that moved.
 
 Run from the repository root: ``python tools/src_lines.py``.
 """
@@ -31,10 +33,14 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    sources = [p.read_text(encoding="utf-8") for p in sorted(Path("src/bootperc").glob("*.py"))]
-    lines = sum(s.count("\n") for s in sources)
-    print(f"lines={lines}")
-    print(f"code_lines={sum(map(code_lines, sources))}")
+    rows = []
+    for path in sorted(Path("src/bootperc").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        rows.append((path.name, source.count("\n"), code_lines(source)))
+    print(f"lines={sum(row[1] for row in rows)}")
+    print(f"code_lines={sum(row[2] for row in rows)}")
+    for name, lines, code in rows:
+        print(f"{name} lines={lines} code_lines={code}")
 
 
 if __name__ == "__main__":
