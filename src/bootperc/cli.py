@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 
 from . import constructions, io, verify
-from .core import id_to_label
+from .constructions import id_to_label
 from .engine import TupleBudgetExceeded, run_fast, run_naive
 from .verify import SearchCapExceeded
 

@@ -21,7 +21,8 @@ and the first path's retreat.  Sequences are written out from this
 layout, never by running the engine, so an engine replay is an
 independent check of both.
 
-Ids are layer-major and each apex is its stage's largest vertex, so the
+Vertex ids are layer-major (:func:`_vid`), so growing the top layer never
+re-indexes a vertex, and each apex is its stage's largest vertex, so the
 generators build sorted tuples in range and check none: the test suite
 checks every stage's graph with the checking :class:`Hypergraph` constructor,
 and :class:`SequentialCertificate` checks its own sequence whenever one is made.
@@ -36,9 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as EULER_E
 
-from .core import Edge, Hypergraph, _canonical, _is_int, layer_width, make_edge
+from .core import Edge, Hypergraph, _canonical, _is_int, make_edge
 
 __all__ = [
+    "VertexLabel",
+    "LabelRangeError",
+    "layer_width",
+    "id_to_label",
     "SequentialCertificate",
     "CertificateError",
     "Bounds",
@@ -50,7 +55,6 @@ __all__ = [
     "build_full",
     "theorem_bounds",
     "k_for_n",
-    "witness_for_n",
 ]
 
 
@@ -131,9 +135,36 @@ def full_running_time(r: int, k: int) -> int:
     return (2 * k - 1) ** (r - 2) * (8 * k * k - 12 * k + 6) - 2
 
 
+class LabelRangeError(ValueError):
+    """A (layer, index) label falls outside the valid grid."""
+
+
+@dataclass(frozen=True)
+class VertexLabel:
+    """Doubly-indexed construction vertex: layer (1-based) and index (1-based)."""
+
+    layer: int
+    index: int
+
+
+def layer_width(k: int) -> int:
+    """Number of vertices per layer for construction parameter k."""
+    return 4 * k - 3
+
+
 def _vid(layer: int, index: int, k: int) -> int:
-    """:func:`core.label_to_id` by arithmetic: the generators name only labels in the grid."""
+    """The id of a label, unchecked: the generators name only labels in the grid."""
     return (layer - 1) * (4 * k - 3) + index - 1
+
+
+def id_to_label(vid: int, k: int) -> VertexLabel:
+    """Inverse of :func:`_vid`: the label of vertex id ``vid`` for k >= 1."""
+    _check_int("vertex id", vid)
+    _check_int("k", k, 1)
+    if vid < 0:
+        raise LabelRangeError(f"vertex id must be >= 0, got {vid}")
+    w = layer_width(k)
+    return VertexLabel(layer=vid // w + 1, index=vid % w + 1)
 
 
 def _scaffold_edges(k: int) -> Iterator[Edge]:
@@ -330,7 +361,7 @@ class Bounds:
 def k_for_n(r: int, n: int) -> int:
     """Largest k with r(4k-3) <= n of the form floor((n/r + 3)/4), exactly."""
     _check_int("r", r, 1)
-    _check_int("n", n)
+    _check_int("n", n, 0)
     return (n + 3 * r) // (4 * r)
 
 
@@ -346,7 +377,7 @@ def theorem_bounds(r: int, n: int) -> Bounds:
     """
     _check_int("r", r, 3)
     k = k_for_n(r, n)
-    bits = r * max(abs(n), r).bit_length()  # bounds the bits of n**r and r**r
+    bits = r * max(n, r).bit_length()  # bounds the bits of n**r and r**r
     if bits > _MAX_POWER_BITS:
         raise ValueError(f"n**r or r**r would have up to {bits} bits, above {_MAX_POWER_BITS}")
     if n < 2 * r * r:
@@ -361,16 +392,3 @@ def theorem_bounds(r: int, n: int) -> Bounds:
         upper_analytic=(n * EULER_E / r) ** r,
         k_of_n=k,
     )
-
-
-def witness_for_n(r: int, n: int) -> Hypergraph:
-    """An n-vertex initial graph achieving the lower bound of :func:`theorem_bounds`.
-
-    The full construction for k = k_for_n(r, n), padded with isolated
-    vertices up to exactly n.
-    """
-    _check_int("r", r, 3)
-    k = k_for_n(r, n)
-    if n < 2 * r * r:
-        raise ValueError(f"n must be >= 2r^2 = {2 * r * r}, got {n}")
-    return build_full(r, k).graph.padded(n)  # r(4k - 3) <= n by k_for_n

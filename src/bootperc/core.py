@@ -1,13 +1,12 @@
 """Vertices, canonical edges, and uniform hypergraphs.
 
-Vertices are dense integer ids.  Construction vertices carry a two-part
-label (layer, index) mapped to ids layer-major so that growing the top
-layer never re-indexes existing vertices.  An edge is a strictly
-increasing tuple of ids; a hypergraph is an immutable set of such edges
-plus the ambient vertex count, iterated in lexicographic order so every
-downstream artifact is reproducible byte for byte.  This module is the
-data model only: the update rule, down to the tuples it enumerates, is
-in ``engine``.
+Vertices are dense integer ids.  An edge is a strictly increasing tuple
+of ids; a hypergraph is an immutable set of such edges plus the ambient
+vertex count, iterated in lexicographic order so every downstream
+artifact is reproducible byte for byte.  This module is the data model
+only: the update rule, down to the tuples it enumerates, is in
+``engine``, and the construction vertices' (layer, index) labels are in
+``constructions``.
 """
 
 from __future__ import annotations
@@ -22,18 +21,13 @@ Edge = tuple[int, ...]
 
 __all__ = [
     "Edge",
-    "VertexLabel",
     "Hypergraph",
     "EdgeError",
     "DuplicateVertexError",
     "ArityError",
     "VertexRangeError",
     "VertexTypeError",
-    "LabelRangeError",
     "make_edge",
-    "label_to_id",
-    "id_to_label",
-    "layer_width",
 ]
 
 
@@ -55,47 +49,6 @@ class VertexRangeError(EdgeError):
 
 class VertexTypeError(EdgeError):
     """A vertex id is not a plain int: a bool or a float, say."""
-
-
-class LabelRangeError(ValueError):
-    """A (layer, index) label falls outside the valid grid."""
-
-
-@dataclass(frozen=True)
-class VertexLabel:
-    """Doubly-indexed construction vertex: layer (1-based) and index (1-based)."""
-
-    layer: int
-    index: int
-
-
-def layer_width(k: int) -> int:
-    """Number of vertices per layer for construction parameter k."""
-    return 4 * k - 3
-
-
-def label_to_id(label: VertexLabel, k: int) -> int:
-    """Map a (layer, index) label to its dense id, layer-major.
-
-    id = (layer - 1) * (4k - 3) + (index - 1).  Total on every
-    construction vertex set and inverted exactly by :func:`id_to_label`.
-    """
-    w = layer_width(k)
-    if label.layer < 1:
-        raise LabelRangeError(f"layer must be >= 1, got {label.layer}")
-    if not 1 <= label.index <= w:
-        raise LabelRangeError(
-            f"index must be in [1, {w}] for k={k}, got {label.index}"
-        )
-    return (label.layer - 1) * w + (label.index - 1)
-
-
-def id_to_label(vid: int, k: int) -> VertexLabel:
-    """Inverse of :func:`label_to_id`."""
-    if vid < 0:
-        raise LabelRangeError(f"vertex id must be >= 0, got {vid}")
-    w = layer_width(k)
-    return VertexLabel(layer=vid // w + 1, index=vid % w + 1)
 
 
 def _is_int(value: object) -> bool:
@@ -191,11 +144,6 @@ class Hypergraph:
         if not _canonical(edges, r, n):
             edges = (make_edge(e, r=r, n=n) for e in edges)
         return cls._trusted(n, r, frozenset(edges))
-
-    @classmethod
-    def complete(cls, n: int, r: int) -> Hypergraph:
-        """The complete r-graph on n vertices."""
-        return cls._trusted(n, r, frozenset(itertools.combinations(range(n), r)))
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:

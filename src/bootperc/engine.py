@@ -6,44 +6,10 @@ of an (r+1)-clique).  Steps are synchronous: all edges infectable from
 the current graph appear in the same generation.
 
 Two engines produce identical per-step traces, each returned in a
-:class:`RunResult` with the graph it started from; the final graph and
-the running time T are read off the two:
-
-* :func:`run_naive` recounts, each generation, whichever of three sides
-  has the fewest tuples: the m-tuples through the previous generation's
-  new edges (sound because an edge infectable at step i+1 but not at
-  step i must share a tuple with a step-i edge), those through the
-  uninfected edges (sound because a new edge is uninfected and lies in
-  the tuple that fires it), listed afresh when taken, or all C(n, m)
-  tuples.  It keeps only the infected set and the frontier, and streams
-  the tuples: ``_supersets`` builds each one sorted and ``_recount``
-  scans its facets at once, so no candidate set is kept; a tuple
-  reached from two edges of a side is recounted twice, to the same
-  result.
-* :func:`run_fast` advances frontier levels on link masks: one int per
-  (r-1)-set S, with bit v set when S | {v} is infected, so a few
-  big-int ANDs decide every tuple through a frontier edge at once.  A
-  level is a collection of plain edge tuples: each edge's bits and
-  (r-1)-set masks are derived where they are used and dropped with it.
-  The seed graph is streamed twice, into the masks and as the first
-  level; only a generation's new edges, the step itself, are kept.
-
-The two share no update code.  :func:`step`, the definitional sweep of
-``_recount`` over all C(n, m) tuples, is the slow reference both are
-tested against.  ``verify`` recounts with ``_naive_generations``,
-replays several starts from one seeded ``_LinkState`` and reads the
-planes of another for density and census.  ``_budget``
-refuses, for both engines, a graph one of whose edges alone meets more
-m-tuples than the cap, and ``_idle`` answers at once an empty graph or
-one too sparse to fire the one m-tuple of m >= n vertices.  The link
-masks count the tuples meeting the graph only when C(n, m) exceeds the
-cap: no graph meets more, so a larger cap cannot bind.  Past a cap
-both raise TupleBudgetExceeded("more than N distinct m-tuples meet the
-infected graph"), naming no option: the CLI adds which one to change.
-:func:`run_naive` also stops before a generation whose recount would
-take the tuples it has recounted in all past DEFAULT_MAX_TUPLES ("the
-naive engine's recounts would pass N m-tuples"); verify's recounts
-carry no such bound, since no option could raise it.
+:class:`RunResult`: :func:`run_naive` recounts m-tuples and
+:func:`run_fast` decides them on link masks.  The two share no update
+code.  :func:`step`, the definitional sweep of ``_recount`` over all
+C(n, m) tuples, is the slow reference both are tested against.
 """
 
 from __future__ import annotations

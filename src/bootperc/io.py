@@ -40,8 +40,8 @@ from itertools import islice
 from operator import lt
 from typing import Any, TextIO
 
-from .constructions import CertificateError, SequentialCertificate
-from .core import Edge, Hypergraph, VertexLabel, _canonical, _is_int
+from .constructions import CertificateError, SequentialCertificate, VertexLabel
+from .core import Edge, Hypergraph, _canonical, _is_int
 from .engine import RunResult
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Shared test helpers: dumb reference replays and random instance generators."""
+"""Shared test helpers: dumb reference replays and checks, and instance generators."""
 
 from __future__ import annotations
 
@@ -17,9 +17,12 @@ from bootperc import (
     DuplicateVertexError,
     Edge,
     Hypergraph,
+    LabelRangeError,
     SequentialCertificate,
+    VertexLabel,
     build_base,
     engine,
+    layer_width,
     make_edge,
     run_fast,
     run_naive,
@@ -110,6 +113,22 @@ def count_supersets(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(engine, "_supersets", counting)
     return counts
+
+
+def complete(n: int, r: int) -> Hypergraph:
+    """The complete r-graph on n vertices, built unchecked as a derived graph is."""
+    return Hypergraph._trusted(n, r, frozenset(itertools.combinations(range(n), r)))
+
+
+def label_to_id(label: VertexLabel, k: int) -> int:
+    """Reference for ``constructions._vid``: the layer-major id of a label, refusing
+    a label off the grid (layer >= 1, index in [1, 4k - 3])."""
+    w = layer_width(k)
+    if label.layer < 1:
+        raise LabelRangeError(f"layer must be >= 1, got {label.layer}")
+    if not 1 <= label.index <= w:
+        raise LabelRangeError(f"index must be in [1, {w}] for k={k}, got {label.index}")
+    return (label.layer - 1) * w + (label.index - 1)
 
 
 def random_hypergraph(rng: random.Random, n: int, r: int, p: float) -> Hypergraph:

@@ -29,12 +29,12 @@ from bootperc import (
     check_density,
     clique_census,
     full_running_time,
+    k_for_n,
     lift,
     run_fast,
     run_naive,
     step,
     theorem_bounds,
-    witness_for_n,
 )
 from bootperc.cli import main as cli_main
 from bootperc.io import emit_certificate, parse_certificate
@@ -143,7 +143,7 @@ def test_criterion_3_full_constructions():
 def test_criterion_4_bound_sandwich():
     for r, n in ((3, 18), (3, 22), (3, 26), (4, 32)):
         bounds = theorem_bounds(r, n)
-        witness = witness_for_n(r, n)
+        witness = build_full(r, k_for_n(r, n)).graph.padded(n)
         assert witness.n == n
         measured = run_fast(witness).running_time
         assert bounds.lower <= measured <= bounds.upper_exact, (r, n, measured)

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bootperc import Hypergraph, build_base, cli, constructions, verify
+from bootperc import Hypergraph, build_base, cli, constructions, id_to_label, verify
 from bootperc.cli import main
-from bootperc.core import id_to_label
 from bootperc.io import CertificateDocument, emit_certificate, emit_graph
 
-from helpers import deadline, inject_headless_fire, padded_base, peak_traced_bytes, refuse_sweep
+from helpers import complete, deadline, inject_headless_fire, padded_base, peak_traced_bytes, refuse_sweep
 
 
 @pytest.fixture()
@@ -67,8 +66,6 @@ class TestBuild:
         assert main(["build", "--r", "3", "--k", "1", "--stage", "base"]) == 2
 
     def test_out_file_is_canonical(self, base_cert_file):
-        from bootperc.core import id_to_label
-
         cert = build_base(2)
         labels = tuple(id_to_label(i, 2) for i in range(cert.graph.n))
         from bootperc.io import CertificateDocument
@@ -107,7 +104,7 @@ class TestRun:
         assert capsys.readouterr().out == "T=0\n"
 
     def test_run_with_clique_size_knob(self, tmp_path, capsys):
-        full = Hypergraph.complete(5, 3)
+        full = complete(5, 3)
         g = full.without(full.sorted_edges[0])
         path = tmp_path / "g.graph.json"
         path.write_text(emit_graph(g))
@@ -251,7 +248,7 @@ class TestVerify:
 class TestVerifyInput:
     def test_graph_document_is_a_schema_error(self, tmp_path, capsys):
         path = tmp_path / "k4.graph.json"
-        path.write_text(emit_graph(Hypergraph.complete(4, 3)))
+        path.write_text(emit_graph(complete(4, 3)))
         assert main(["verify", "--in", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -442,6 +439,7 @@ class TestArguments:
             (["check-base", "--k", "1"], "k must be >= 2, got 1"),
             (["check-base", "--k", "-5"], "k must be >= 2, got -5"),
             (["bounds", "--r", "2", "--n", "10"], "r must be >= 3, got 2"),
+            (["bounds", "--r", "3", "--n", "-5"], "n must be >= 0, got -5"),
         ],
     )
     def test_each_bad_argument_is_one_error_line(self, argv, message, capsys):

@@ -12,18 +12,22 @@ from bootperc import (
     CertificateError,
     Hypergraph,
     SequentialCertificate,
+    VertexLabel,
     base_running_time,
     build_base,
     build_full,
     full_running_time,
     glue,
+    id_to_label,
     k_for_n,
+    layer_width,
     lift,
+    make_edge,
     run_fast,
     theorem_bounds,
-    witness_for_n,
 )
-from bootperc.core import VertexLabel, label_to_id, layer_width, make_edge
+
+from helpers import label_to_id
 
 
 def vid(layer, index, k):
@@ -90,7 +94,7 @@ class TestPredictedBaseEdge:
         )
 
     def test_ids_by_arithmetic_are_labels_in_the_grid(self, monkeypatch):
-        # the generators name ids unchecked; label_to_id refuses a label off the grid
+        # the generators name ids unchecked; the reference label_to_id refuses off-grid labels
         built = [build_base(k) for k in range(2, 7)] + [build_full(3, 3), build_full(4, 2)]
         monkeypatch.setattr(constructions, "_vid", vid)
         again = [build_base(k) for k in range(2, 7)] + [build_full(3, 3), build_full(4, 2)]
@@ -236,6 +240,10 @@ class TestTheoremBounds:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             theorem_bounds(2, 10)
+        with warnings.catch_warnings():  # a negative n is refused before the 2r^2 warning
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^n must be >= 0, got -5$"):
+                theorem_bounds(3, -5)
 
     def test_lower_below_trivial_cap(self):
         for r, n in [(3, 18), (3, 30), (4, 32), (5, 50)]:
@@ -268,29 +276,27 @@ class TestTheoremBounds:
         for r in (3, 4, 5):
             for n in range(r, 80):
                 assert k_for_n(r, n) == floor((Fraction(n, r) + 3) / 4)
-                assert r * layer_width(k_for_n(r, n)) <= n  # witness_for_n needs no size check
+                assert r * layer_width(k_for_n(r, n)) <= n  # the witness pads, never shrinks
 
 
 class TestWitnessForN:
+    """The lower-bound witness: the full construction for k_for_n(r, n), padded to n."""
+
     def test_pads_with_isolated_vertices(self):
-        w = witness_for_n(3, 18)
+        w = build_full(3, k_for_n(3, 18)).graph.padded(18)
         assert w.n == 18
         assert w.edges == build_full(3, 2).graph.edges
 
     def test_running_time_between_bounds(self):
-        w = witness_for_n(3, 18)
+        w = build_full(3, k_for_n(3, 18)).graph.padded(18)
         t = run_fast(w).running_time
         b = theorem_bounds(3, 18)
         assert t == 40
         assert b.lower <= t <= b.upper_exact
 
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            witness_for_n(3, 15)
-
     def test_rejects_small_r(self):
         with pytest.raises(ValueError, match="r must be >= 3"):
-            witness_for_n(2, 50)
+            build_full(2, k_for_n(2, 50)).graph.padded(50)
 
 
 class TestCertificateValidation:
@@ -496,3 +502,14 @@ def test_glued_certificate_replays_exactly():
     assert res.running_time == 40
     for i in range(1, 41):
         assert res.trace.steps[i - 1] == {cert.sequence[i]}
+
+
+@pytest.mark.parametrize("stage, r, k", [*(("base", 3, k) for k in range(2, 6)),
+                                         ("full", 3, 3), ("full", 4, 2), ("full", 5, 2)])
+def test_every_vertex_label_is_on_the_grid_and_maps_back(stage, r, k):
+    # id_to_label and _vid are inverse on every construction vertex
+    cert = build_base(k) if stage == "base" else build_full(r, k)
+    for v in range(cert.graph.n):
+        label = id_to_label(v, cert.k)
+        assert 1 <= label.index <= layer_width(cert.k) and label.layer >= 1
+        assert constructions._vid(*dataclasses.astuple(label), cert.k) == v

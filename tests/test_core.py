@@ -1,25 +1,23 @@
 import itertools
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bootperc import LabelRangeError, VertexLabel, id_to_label, layer_width
+from bootperc.constructions import _vid
 from bootperc.core import (
     ArityError,
     DuplicateVertexError,
     Hypergraph,
-    LabelRangeError,
-    VertexLabel,
     VertexRangeError,
     VertexTypeError,
-    id_to_label,
-    label_to_id,
-    layer_width,
     make_edge,
 )
 from bootperc.engine import _supersets
 
-from helpers import forbid_revalidation, sorting_supersets
+from helpers import complete, forbid_revalidation, label_to_id, sorting_supersets
 
 
 class TestMakeEdge:
@@ -51,15 +49,15 @@ class TestMakeEdge:
 
 class TestLabels:
     def test_first_vertex(self):
-        assert label_to_id(VertexLabel(1, 1), k=2) == 0
+        assert _vid(1, 1, k=2) == 0
 
     def test_layer_three_head(self):
         # (3-1)*5 + 0 with width 4k-3 = 5
-        assert label_to_id(VertexLabel(3, 1), k=2) == 10
+        assert _vid(3, 1, k=2) == 10
 
     def test_layer_two_tail(self):
         # (2-1)*5 + 4
-        assert label_to_id(VertexLabel(2, 5), k=2) == 9
+        assert _vid(2, 5, k=2) == 9
 
     def test_index_out_of_range(self):
         with pytest.raises(LabelRangeError):
@@ -70,8 +68,16 @@ class TestLabels:
             label_to_id(VertexLabel(0, 1), k=2)
 
     def test_negative_id(self):
-        with pytest.raises(LabelRangeError, match="vertex id must be >= 0"):
+        with pytest.raises(LabelRangeError, match="^vertex id must be >= 0, got -1$"):
             id_to_label(-1, k=2)
+        # sizes it cannot label: a non-int id or k, or a k off the grid
+        for vid, k, message in [(5, 2.0, "k must be an int, got 2.0"),
+                                (True, 2, "vertex id must be an int, got True"),
+                                (5.0, 2, "vertex id must be an int, got 5.0"),
+                                (3, True, "k must be an int, got True"),
+                                (3, 0, "k must be >= 1, got 0")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                id_to_label(vid, k)
 
     @given(
         k=st.integers(min_value=2, max_value=7),
@@ -80,13 +86,11 @@ class TestLabels:
     )
     def test_round_trip(self, k, layer, data):
         index = data.draw(st.integers(min_value=1, max_value=layer_width(k)))
-        label = VertexLabel(layer, index)
-        vid = label_to_id(label, k)
-        assert id_to_label(vid, k) == label
+        assert id_to_label(_vid(layer, index, k), k) == VertexLabel(layer, index)
 
     @given(k=st.integers(min_value=2, max_value=7), vid=st.integers(min_value=0, max_value=200))
     def test_round_trip_from_id(self, k, vid):
-        assert label_to_id(id_to_label(vid, k), k) == vid
+        assert _vid(*astuple(id_to_label(vid, k)), k) == vid
 
 
 class TestSupersets:
@@ -136,7 +140,7 @@ class TestHypergraph:
         assert len(g) == 1
 
     def test_complete_count(self):
-        assert len(Hypergraph.complete(6, 3)) == 20
+        assert len(complete(6, 3)) == 20
 
     def test_validation(self):
         with pytest.raises(ArityError):
@@ -202,7 +206,7 @@ class TestHypergraph:
     def test_derived_graphs_are_not_validated_again(self, monkeypatch):
         forbid_revalidation(monkeypatch)
         g = Hypergraph.from_edges(5, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-        assert len(Hypergraph.complete(5, 3)) == 10
+        assert len(complete(5, 3)) == 10
         assert g.with_edges([(4, 2, 1)]).edges == g.edges | {(1, 2, 4)}
         assert g.without((2, 0, 1)).edges == g.edges - {(0, 1, 2)}
         assert g.padded(7) == Hypergraph.from_edges(7, 3, g.edges)
@@ -211,9 +215,9 @@ class TestHypergraph:
 
     def test_derived_graphs_still_check_sizes(self):
         with pytest.raises(ValueError):
-            Hypergraph.complete(-1, 2)
+            complete(-1, 2)
         with pytest.raises(ValueError):
-            Hypergraph.complete(3, 0)
+            complete(3, 0)
 
     def test_padded(self):
         g = Hypergraph.from_edges(4, 3, [(0, 1, 2)]).padded(10)

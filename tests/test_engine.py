@@ -33,6 +33,7 @@ from bootperc.engine import (
 )
 
 from helpers import (
+    complete,
     count_supersets,
     deadline,
     forbid_revalidation,
@@ -45,7 +46,7 @@ from helpers import (
 
 
 def near_complete(n: int, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
-    full = Hypergraph.complete(n, r)
+    full = complete(n, r)
     missing = full.sorted_edges[0]
     return full.without(missing), missing
 
@@ -73,13 +74,13 @@ class TestStep:
 
     def test_larger_clique_size(self):
         # with m = n = 5 the single 5-tuple has 9 of its 10 triples present
-        full = Hypergraph.complete(5, 3)
+        full = complete(5, 3)
         g = full.without(full.sorted_edges[0])
         assert step(g, m=5) == {full.sorted_edges[0]}
         assert step(g, m=4) != frozenset()
 
     def test_m_below_r_plus_one_rejected(self):
-        g = Hypergraph.complete(4, 3)
+        g = complete(4, 3)
         with pytest.raises(ValueError):
             step(g, m=3)
 

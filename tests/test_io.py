@@ -21,14 +21,15 @@ from bootperc import (
     InfectionTrace,
     RunResult,
     SequentialCertificate,
+    VertexLabel,
     build_base,
     build_full,
     glue,
+    id_to_label,
     lift,
     run_fast,
     run_naive,
 )
-from bootperc.core import VertexLabel, id_to_label
 from bootperc.io import (
     CertificateDocument,
     DocumentError,
@@ -41,11 +42,11 @@ from bootperc.io import (
     read_document,
 )
 
-from helpers import forbid_revalidation, peak_traced_bytes, per_edge_checks, random_hypergraph
+from helpers import complete, forbid_revalidation, peak_traced_bytes, per_edge_checks, random_hypergraph
 
 
 def k34_doc() -> str:
-    return emit_graph(Hypergraph.complete(4, 3))
+    return emit_graph(complete(4, 3))
 
 
 class TestGraphRoundTrip:
@@ -135,7 +136,7 @@ class TestGoldenBytes:
     """The exact emitted text, so a change of layout cannot pass as a round trip."""
 
     def test_readme_graph_document(self):
-        assert emit_graph(Hypergraph.complete(4, 3)) == K34_DOCUMENT
+        assert emit_graph(complete(4, 3)) == K34_DOCUMENT
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         assert f"```json\n{K34_DOCUMENT}```" in readme
 
@@ -232,7 +233,7 @@ class TestEveryDocumentRoundTrips:
     @pytest.mark.parametrize("k", [0, -1, True, 1.0, "2"])
     def test_bad_k_is_refused(self, k):
         with pytest.raises(ValueError, match="invalid k"):
-            GraphDocument(Hypergraph.complete(4, 3), k=k)
+            GraphDocument(complete(4, 3), k=k)
         if type(k) is not int:  # the certificate refuses it before a document can
             with pytest.raises(CertificateError, match=f"^k must be an int, got {k!r}$"):
                 dataclasses.replace(build_base(2), k=k)
@@ -345,7 +346,7 @@ class TestParseErrors:
     def test_bad_labels(self):
         base = emit_graph(
             GraphDocument(
-                Hypergraph.complete(4, 3),
+                complete(4, 3),
                 k=2,
                 labels=tuple(VertexLabel(1, i + 1) for i in range(4)),
             )
@@ -399,7 +400,7 @@ class TestReadDocument:
     def test_returns_the_document_type(self):
         graph = read_document(k34_doc())
         assert isinstance(graph, GraphDocument) and graph == parse_graph(k34_doc())
-        assert graph.to_hypergraph() == Hypergraph.complete(4, 3)
+        assert graph.to_hypergraph() == complete(4, 3)
         cert = read_document(base2_doc())
         assert isinstance(cert, CertificateDocument) and cert == parse_certificate(base2_doc())
         assert cert.to_hypergraph() == build_base(2).graph
@@ -685,7 +686,7 @@ class TestEmitTrace:
         assert json.loads(lines[0])["t"] == 0
 
     def test_single_infection(self):
-        g = Hypergraph.complete(4, 3).without((0, 1, 2))
+        g = complete(4, 3).without((0, 1, 2))
         lines = self.read_lines(run_fast(g))
         assert len(lines) == 2
         assert json.loads(lines[1]) == {"step": 1, "edge": [0, 1, 2]}
@@ -714,8 +715,8 @@ class TestEmitTrace:
 
     def test_lexicographic_within_step(self):
         # two independent near-complete 4-sets infect two edges at step 1
-        g = Hypergraph.complete(4, 3).without((0, 1, 2))
-        extra = [tuple(sorted(v + 4 for v in e)) for e in Hypergraph.complete(4, 3)]
+        g = complete(4, 3).without((0, 1, 2))
+        extra = [tuple(sorted(v + 4 for v in e)) for e in complete(4, 3)]
         extra.remove((4, 5, 6))
         g = Hypergraph.from_edges(8, 3, list(g.edges) + extra)
         lines = self.read_lines(run_fast(g))

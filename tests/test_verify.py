@@ -24,7 +24,6 @@ from bootperc import (
     theorem_bounds,
     verify,
     verify_sequential,
-    witness_for_n,
 )
 from bootperc.engine import DEFAULT_MAX_TUPLES, _LinkState, _naive_generations, _supersets
 from bootperc.verify import (
@@ -32,6 +31,7 @@ from bootperc.verify import (
 )
 
 from helpers import (
+    complete,
     inject_headless_fire,
     padded_base,
     peak_traced_bytes,
@@ -243,7 +243,7 @@ class TestCheckDensity:
         assert witness is not None
 
     def test_complete_tuple(self):
-        density, witness = check_density(Hypergraph.complete(4, 3))
+        density, witness = check_density(complete(4, 3))
         assert density == 4
         assert witness == (0, 1, 2, 3)
 
@@ -271,7 +271,7 @@ class TestCheckDensity:
 
 class TestCliqueCensus:
     def test_complete_graph(self):
-        assert clique_census(Hypergraph.complete(4, 3)) == {(0, 1, 2, 3)}
+        assert clique_census(complete(4, 3)) == {(0, 1, 2, 3)}
 
     def test_sparse_base_graph_has_none(self):
         cert = build_base(2)
@@ -343,7 +343,7 @@ class TestBruteForce:
         for _ in range(20):
             g = random_hypergraph(rng, 5, 3, rng.uniform(0.2, 0.9))
             assert run_fast(g).running_time <= best
-        near = Hypergraph.complete(4, 3).without((0, 1, 2)).padded(5)
+        near = complete(4, 3).without((0, 1, 2)).padded(5)
         assert run_fast(near).running_time <= best
 
     def test_negative_cap_is_invalid(self):
@@ -380,8 +380,8 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "make, args",
         [(build_base, {"k": 2}), (build_full, {"r": 3, "k": 2}), (k_for_n, {"r": 3, "n": 18}),
-         (theorem_bounds, {"r": 3, "n": 18}), (witness_for_n, {"r": 3, "n": 18})],
-        ids=["build_base", "build_full", "k_for_n", "theorem_bounds", "witness_for_n"],
+         (theorem_bounds, {"r": 3, "n": 18})],
+        ids=["build_base", "build_full", "k_for_n", "theorem_bounds"],
     )
     def test_non_int_construction_sizes_rejected(self, make, args, value):
         # refused before any arithmetic, which compares a bool or float as a number
@@ -392,6 +392,8 @@ class TestBruteForce:
     def test_k_for_n_needs_a_positive_r(self):
         with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
             k_for_n(0, 5)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -100$"):
+            k_for_n(3, -100)
 
     def test_one_edge_is_answered_without_a_scan(self, monkeypatch):
         # r = n: both masks of the one edge have T = 0, as a scan of them finds
