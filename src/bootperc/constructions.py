@@ -1,25 +1,11 @@
 """Extremal slow-percolation instances and their predicted infection sequences.
 
-Three generators compose into initial graphs whose bootstrap process
-runs for Theta(n^r) steps:
-
-* :func:`build_base` -- the 3-uniform seed: two vertex-disjoint paths
-  plus an apex vertex, wired so exactly one edge is infected per step
-  and the process is reversible end for end.
-* :func:`glue` -- chains 2k-1 apex-renamed copies of a sequential
-  certificate through small bridge gadgets, multiplying the running
-  time by 2k-1 (plus 4(k-1) bridge steps) and consuming the apex.
-* :func:`lift` -- raises uniformity by one: a fresh apex joins every
-  edge and the complete (r+1)-graph on the old vertex set is
-  pre-infected, preserving the running time and restoring an apex.
-
-The seed's sequence runs in k-1 stages over the two paths, each four
-legs long with the apex in every edge: a fan out from one first-path
-vertex along the second path, the first path's advance against the
-second path's far vertex, a fan back from the first path's far vertex,
-and the first path's retreat.  Sequences are written out from this
-layout, never by running the engine, so an engine replay is an
-independent check of both.
+:func:`build_full` composes the paper's three steps into an initial graph
+whose bootstrap process runs for Theta(n^r) steps: the 3-uniform seed
+(:func:`build_base`), glued (:func:`_glue`), then lifted (:func:`_lift`)
+and glued again r-3 times.  Sequences are written out from the layout,
+never by running the engine, so an engine replay is an independent
+check of both.
 
 Vertex ids are layer-major (:func:`_vid`), so growing the top layer never
 re-indexes a vertex, and each apex is its stage's largest vertex, so the
@@ -37,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as EULER_E
 
-from .core import Edge, Hypergraph, _canonical, _is_int, make_edge
+from .core import Edge, Hypergraph, _canonical, _check_int, _is_int, make_edge
 
 __all__ = [
     "VertexLabel",
@@ -50,8 +36,6 @@ __all__ = [
     "base_running_time",
     "full_running_time",
     "build_base",
-    "glue",
-    "lift",
     "build_full",
     "theorem_bounds",
     "k_for_n",
@@ -115,14 +99,6 @@ class SequentialCertificate:
             for edge in self.sequence:
                 if self.apex not in edge:
                     raise CertificateError(f"apex {self.apex} missing from {edge}")
-
-
-def _check_int(name: str, value: object, least: int | None = None) -> None:
-    """Refuse a size that is not a plain int, or one below ``least`` if given."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def base_running_time(k: int) -> int:
@@ -216,12 +192,11 @@ def build_base(k: int) -> SequentialCertificate:
     first path's advance, the fan back and the first path's retreat.
     """
     _check_int("k", k, 2)
-    n = 2 * layer_width(k) + 1
     apex = _vid(3, 1, k)
     ignition = (_vid(1, 1, k), _vid(2, 1, k), apex)
     edges = frozenset(itertools.chain(_scaffold_edges(k), _apex_strip_edges(k), (ignition,)))
     return SequentialCertificate(
-        graph=Hypergraph._trusted(n, 3, edges),
+        graph=Hypergraph._trusted(apex + 1, 3, edges),
         ignition=ignition,
         sequence=(ignition,) + tuple(_base_sequence(k)),
         r=3,
@@ -244,7 +219,7 @@ def _bridge_gadget(
     }
 
 
-def glue(cert: SequentialCertificate) -> SequentialCertificate:
+def _glue(cert: SequentialCertificate) -> SequentialCertificate:
     """Chain 2k-1 apex-renamed copies of ``cert`` through bridge gadgets, k = ``cert.k``.
 
     Copy j replaces the apex with the (2j-1)-th vertex of a fresh top
@@ -252,22 +227,9 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
     continues from its copy's last sequenced edge: that edge's stub and
     the top-layer vertices 2j-1, 2j and 2j+1 span the bridge gadget, and
     the stub joined to the even vertex 2j is the one bridge step.  The
-    result has no apex and runs for (2k-1) T + 4(k-1) steps.  A k <= 1
-    certificate fails the layout check, or the layout leaves it one
-    r-subset and T = 0.
+    result has no apex and runs for (2k-1) T + 4(k-1) steps.
     """
-    if cert.apex is None:
-        raise CertificateError("certificate has no apex; lift before gluing again")
-    if cert.predicted_t < 2:
-        raise CertificateError("gluing needs a certificate with at least 2 steps")
-    r, k = cert.r, cert.k
-    w = layer_width(k)
-    if cert.graph.n != (r - 1) * w + 1 or cert.apex != (r - 1) * w:
-        raise CertificateError(
-            f"expected {r - 1} full layers plus a single apex vertex "
-            f"(n = {(r - 1) * w + 1}, apex id {(r - 1) * w})"
-        )
-    apex = cert.apex
+    r, k, apex = cert.r, cert.k, cert.apex
     # the apex is the largest vertex and a_j >= apex: stub + (a_j,) stays sorted
     stubs = [edge[:-1] for edge in cert.sequence]
     graph_stubs = [e[:-1] for e in cert.graph.edges if e[-1] == apex and e != cert.ignition]
@@ -290,7 +252,7 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
 
     predicted = copies * cert.predicted_t + 4 * (k - 1)
     return SequentialCertificate(
-        graph=Hypergraph._trusted(r * w, r, frozenset(itertools.chain(kept, edges))),
+        graph=Hypergraph._trusted(_vid(r + 1, 1, k), r, frozenset(itertools.chain(kept, edges))),
         ignition=cert.ignition,
         sequence=tuple(sequence),
         r=r,
@@ -300,26 +262,20 @@ def glue(cert: SequentialCertificate) -> SequentialCertificate:
     )
 
 
-def lift(cert: SequentialCertificate) -> SequentialCertificate:
+def _lift(cert: SequentialCertificate) -> SequentialCertificate:
     """Raise uniformity by one on a glued certificate.
 
     A fresh apex joins every existing edge (graph and sequence alike),
     and the complete (r+1)-graph on the old vertex set is added to the
     graph only.  Running time is unchanged.
     """
-    if cert.apex is not None:
-        raise CertificateError("only glued (apex-free) certificates can be lifted")
     r, k = cert.r, cert.k
-    w = layer_width(k)
-    if cert.graph.n != r * w:
-        raise CertificateError(f"expected {r} full layers (n = {r * w})")
-    old_n = cert.graph.n
-    apex = old_n
+    apex = _vid(r + 1, 1, k)  # one past the old vertex set
     edges = frozenset(itertools.chain(
-        (e + (apex,) for e in cert.graph.edges), itertools.combinations(range(old_n), r + 1)))
+        (e + (apex,) for e in cert.graph.edges), itertools.combinations(range(apex), r + 1)))
     sequence = tuple(e + (apex,) for e in cert.sequence)
     return SequentialCertificate(
-        graph=Hypergraph._trusted(old_n + 1, r + 1, edges),
+        graph=Hypergraph._trusted(apex + 1, r + 1, edges),
         ignition=cert.ignition + (apex,),
         sequence=sequence,
         r=r + 1,
@@ -336,9 +292,9 @@ def build_full(r: int, k: int) -> SequentialCertificate:
     predicted running time (2k-1)^(r-2) (8k^2-12k+6) - 2.
     """
     _check_int("r", r, 3)
-    cert = glue(build_base(k))
+    cert = _glue(build_base(k))
     for _ in range(r - 3):
-        cert = glue(lift(cert))
+        cert = _glue(_lift(cert))
     return cert
 
 

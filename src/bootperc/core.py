@@ -56,6 +56,20 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
+def _check_int(name: str, value: object, least: int | None = None) -> None:
+    """Refuse a size that is not a plain int, or one below ``least`` if given."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_sizes(n: object, r: object) -> None:
+    """Refuse a vertex count n < 0 or a uniformity r < 1, or either not a plain int."""
+    _check_int("n", n, 0)
+    _check_int("r", r, 1)
+
+
 def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) -> Edge:
     """Canonicalize a vertex id sequence into a sorted edge.
 
@@ -81,11 +95,11 @@ def make_edge(ids: Iterable[int], r: int | None = None, n: int | None = None) ->
 
 def _canonical(edges: Collection, r: int, n: int, kind: type = tuple) -> bool:
     """Whether ``edges`` is a non-empty collection of ``kind``s of r strictly increasing
-    plain ints in [0, n), decided by C-level passes over it with no call per edge.  False
+    plain ints in [0, n), for checked sizes, decided by C-level passes over it.  False
     sends a caller to its per-edge checks, which name the first bad edge (and cost nothing
     on an empty collection, whose r need not be small)."""
-    if not (isinstance(edges, Collection) and _is_int(r) and _is_int(n) and r >= 1
-            and set(map(type, edges)) <= {kind} and set(map(len, edges)) == {r}
+    if not (isinstance(edges, Collection) and set(map(type, edges)) <= {kind}
+            and set(map(len, edges)) == {r}
             and set(map(type, itertools.chain.from_iterable(edges))) <= {int}):
         return False
     column = [itemgetter(i) for i in range(r)]
@@ -109,7 +123,7 @@ class Hypergraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        self._check_sizes()
+        _check_sizes(self.n, self.r)
         if not isinstance(self.edges, frozenset):
             raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}; "
                              "use Hypergraph.from_edges for any other collection")
@@ -118,22 +132,13 @@ class Hypergraph:
                 if make_edge(e, r=self.r, n=self.n) != e:
                     raise DuplicateVertexError(f"edge {e} is not strictly increasing")
 
-    def _check_sizes(self) -> None:
-        if not (_is_int(self.n) and _is_int(self.r)):
-            raise ValueError(f"n and r must be ints, got n={self.n!r}, r={self.r!r}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"uniformity must be >= 1, got {self.r}")
-
     @classmethod
     def _trusted(cls, n: int, r: int, edges: frozenset[Edge]) -> Hypergraph:
-        """Build from edges already known to be canonical, checking only n and r."""
+        """Build from sizes and edges already checked, checking nothing."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "r", r)
         object.__setattr__(g, "edges", edges)
-        g._check_sizes()
         return g
 
     @classmethod
@@ -141,6 +146,7 @@ class Hypergraph:
         """Build a hypergraph from any collection or iterator of edges (a list, a set, a
         generator), canonicalizing and validating every edge once: a collection of sorted
         tuples is checked whole, anything else edge by edge as it is read."""
+        _check_sizes(n, r)
         if not _canonical(edges, r, n):
             edges = (make_edge(e, r=r, n=n) for e in edges)
         return cls._trusted(n, r, frozenset(edges))
@@ -169,6 +175,5 @@ class Hypergraph:
 
     def padded(self, n: int) -> Hypergraph:
         """The same edge set viewed on a larger vertex set (isolated vertices)."""
-        if n < self.n:
-            raise ValueError(f"cannot shrink vertex set from {self.n} to {n}")
+        _check_int("n", n, self.n)
         return Hypergraph._trusted(n, self.r, self.edges)

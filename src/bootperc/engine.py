@@ -20,7 +20,7 @@ from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
-from .core import Edge, Hypergraph, _is_int
+from .core import Edge, Hypergraph, _check_int
 
 __all__ = [
     "InfectionTrace",
@@ -77,10 +77,7 @@ class RunResult:
 
 def _check_m(g: Hypergraph, m: int | None) -> int:
     m = g.r + 1 if m is None else m
-    if not _is_int(m):
-        raise ValueError(f"clique size m must be an int, got {m!r}")
-    if m < g.r + 1:
-        raise ValueError(f"clique size m must be >= r+1 = {g.r + 1}, got {m}")
+    _check_int("clique size m", m, g.r + 1)
     return m
 
 
@@ -240,10 +237,7 @@ def _idle(g: Hypergraph, m: int) -> bool:
 def _budget(g: Hypergraph, m: int, max_tuples: int | None) -> int:
     """The tuple cap, DEFAULT_MAX_TUPLES unless given, checked against ``g`` up front."""
     budget = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
-    if not _is_int(budget):
-        raise ValueError(f"max_tuples must be an int, got {budget!r}")
-    if budget < 0:
-        raise ValueError(f"max_tuples must be >= 0, got {budget}")
+    _check_int("max_tuples", budget, 0)
     if g.edges and _comb_over(g.n - g.r, m - g.r, budget):
         # any one edge meets C(n - r, m - r) tuples; nothing of size n is built
         raise _over_budget(budget)

@@ -1,33 +1,14 @@
 """Deterministic text serialization for graphs, certificates, and traces.
 
-Each document is a dict of JSON values in a fixed key order, rendered
-by one function with two-space indentation: a non-empty top-level list
-one compact item per line, any other value (the ignition included) on
-its key's line, a None value left out, and a final newline.  Emitting
-is byte-identical across platforms and re-emitting a parsed canonical
-document reproduces it exactly.  Traces are line-delimited JSON
-records, one infected edge per line after a header carrying r, n, and T.
-
-A :class:`GraphDocument` holds a :class:`Hypergraph`, with the optional
-construction parameter k and vertex labels; a :class:`CertificateDocument`
-holds a :class:`SequentialCertificate` and optional labels.  Those objects
-check their own invariants and the document constructors check k and the
-labels, so a document whose numbers are all ints emits text the parser
-accepts.
-
-Parsing is strict: any document violating a graph or certificate
-invariant is rejected with a specific error code (``syntax``,
-``schema``, ``version``, ``arity``, ``duplicate-vertex``,
-``duplicate-edge``, ``id-range``, ``not-canonical``, ``certificate``).
-:func:`read_document` reads either kind of document, telling a
-certificate by its ``ignition`` key.  The parser checks each edge list
-whole, in a few passes of built-in functions: every item a list of r
-strictly increasing plain ints in [0, n), and the graph's list strictly
-increasing.  Only a list that fails is checked edge by edge, which names
-its first bad edge and its code.  The graph is built from the checked
-edges unchecked; the certificate checks its sequence edges again, whole,
-as it does for any caller.  The cyclic collector is paused while a
-document is decoded and converted, and the caller's setting restored.
+Each document is a JSON object in a fixed key order.  Emitting is
+byte-identical across platforms, re-emitting a parsed canonical document
+reproduces it exactly, and a document whose numbers are all ints emits
+text the parser accepts.  Parsing is strict: a document that breaks a
+graph or certificate invariant is refused with a :class:`DocumentError`
+whose code names the failure (``syntax``, ``schema``, ``version``,
+``arity``, ``duplicate-vertex``, ``duplicate-edge``, ``id-range``,
+``not-canonical``, ``certificate``).  A certificate's sequence is checked
+twice on purpose: by the parser, then by the certificate, as for any caller.
 """
 
 from __future__ import annotations

@@ -1,19 +1,8 @@
 """Certificate replay checks, local density, clique census, and the exhaustive oracle.
 
-``verify_sequential`` replays a certificate three ways (forward,
-ignition removed, last edge swapped in for the ignition) and reports
-whether each replay matches the predicted sequence exactly.  All three
-start from one link state seeded with the graph minus the ignition.
-
-``brute_force_max_time`` exhausts every initial graph on a tiny vertex
-set, encoded as bitmasks over the canonical edge list.  The masks are
-evaluated bit-sliced, 2^16 at a time: each edge is one big int holding
-that edge's bit for every mask of the chunk, so one integer operation
-advances all of them.  Every generation runs two independent update
-rules (a recount over the tuples and per-tuple binary counters fed by
-the previous generation's new edges), which must agree edge-for-edge on
-every mask; the scan is deterministic regardless of the number of
-worker processes.
+The oracle evaluates its masks bit-sliced, 2^16 at a time: each edge is
+one big int holding that edge's bit for every mask of the chunk, so one
+integer operation advances all of them.
 """
 
 from __future__ import annotations
@@ -26,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, inf
 
 from .constructions import SequentialCertificate
-from .core import Edge, Hypergraph, _is_int
+from .core import Edge, Hypergraph, _check_int
 from .engine import _bits, _budget, _comb_over, _LinkState, _naive_generations, _vertices
 
 __all__ = [
@@ -340,17 +329,10 @@ def brute_force_max_time(
     when C(n, r) > ``cap``, decided by the engines' ``_comb_over``
     before C(n, r) is computed.
     """
-    if not all(map(_is_int, (r, n, jobs, cap))):
-        raise ValueError("r, n, jobs and cap must be ints, "
-                         f"got r={r!r}, n={n!r}, jobs={jobs!r}, cap={cap!r}")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    if n < r:
-        raise ValueError(f"n must be >= r, got n={n}, r={r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+    _check_int("r", r, 2)
+    _check_int("n", n, r)
+    _check_int("jobs", jobs, 1)
+    _check_int("cap", cap, 0)
     if _comb_over(n, r, cap):
         raise SearchCapExceeded(f"C({n},{r}) exceeds the cap of {cap} edges")
     num_edges = comb(n, r)

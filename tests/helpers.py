@@ -29,7 +29,7 @@ from bootperc import (
     step,
 )
 import bootperc.io as bootperc_io
-from bootperc.core import _is_int
+from bootperc.core import _check_sizes, _is_int
 from bootperc.engine import _supersets
 from bootperc.io import DocumentError
 from bootperc.verify import (
@@ -318,11 +318,12 @@ def reference_parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
 
 
 def reference_from_edges(cls, n: int, r: int, edges) -> Hypergraph:
+    _check_sizes(n, r)
     return cls._trusted(n, r, frozenset(make_edge(e, r=r, n=n) for e in edges))
 
 
 def reference_graph_check(g: Hypergraph) -> None:
-    g._check_sizes()
+    _check_sizes(g.n, g.r)
     for e in g.edges:
         if make_edge(e, r=g.r, n=g.n) != e:
             raise DuplicateVertexError(f"edge {e} is not strictly increasing")

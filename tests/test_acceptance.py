@@ -30,12 +30,12 @@ from bootperc import (
     clique_census,
     full_running_time,
     k_for_n,
-    lift,
     run_fast,
     run_naive,
     step,
     theorem_bounds,
 )
+from bootperc.constructions import _lift as lift
 from bootperc.cli import main as cli_main
 from bootperc.io import emit_certificate, parse_certificate
 

@@ -17,15 +17,15 @@ from bootperc import (
     build_base,
     build_full,
     full_running_time,
-    glue,
     id_to_label,
     k_for_n,
     layer_width,
-    lift,
     make_edge,
     run_fast,
     theorem_bounds,
 )
+from bootperc.constructions import _glue as glue
+from bootperc.constructions import _lift as lift
 
 from helpers import label_to_id
 
@@ -151,24 +151,6 @@ class TestGlue:
                 if es & first_stub == first_stub:
                     assert e == cert.ignition or not any(t in es for t in top[1::2])
 
-    def test_requires_apex(self):
-        glued = glue(build_base(2))
-        with pytest.raises(CertificateError):
-            glue(glued)
-
-    def test_requires_two_steps(self):
-        # k = 1: the layout n = r, apex r - 1 leaves one r-subset, the ignition, so T = 0
-        g = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
-        one = constructions.SequentialCertificate(
-            graph=g, ignition=(0, 1, 2), sequence=((0, 1, 2),), r=3, k=1, predicted_t=0, apex=2
-        )
-        with pytest.raises(CertificateError, match="at least 2 steps"):
-            glue(one)
-
-    def test_requires_the_layout_of_k(self):
-        with pytest.raises(CertificateError, match="full layers plus a single apex"):
-            glue(dataclasses.replace(build_base(2), k=3))
-
 
 class TestLift:
     def test_shape(self):
@@ -186,14 +168,6 @@ class TestLift:
         assert lifted.sequence[0] == glued.ignition + (15,)
         assert all(15 in e for e in lifted.sequence)
         assert len(lifted.sequence) == len(glued.sequence)
-
-    def test_rejects_apexed_certificate(self):
-        with pytest.raises(CertificateError):
-            lift(build_base(2))
-
-    def test_requires_the_layout_of_k(self):
-        with pytest.raises(CertificateError, match="full layers"):
-            lift(dataclasses.replace(build_full(3, 2), k=3))
 
 
 class TestBuildFull:

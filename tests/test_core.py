@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import astuple
 
 import pytest
@@ -170,11 +171,15 @@ class TestHypergraph:
             Hypergraph(n, r, make())
         assert Hypergraph.from_edges(n, r, make()) == Hypergraph(n, r, frozenset(edges))
 
-    @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), (True, 1), (5, True)])
+    @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), (True, 1), (5, True), ("5", 2), (5, "2")])
     def test_sizes_must_be_ints(self, n, r):
-        # a float or bool would be emitted as text the parser refuses
-        with pytest.raises(ValueError, match="must be ints"):
-            Hypergraph(n=n, r=r, edges=frozenset())
+        # a float or bool would be emitted as text the parser refuses; n is checked before r,
+        # and both before any edge
+        name, value = ("r", r) if type(n) is int else ("n", n)
+        message = f"^{name} must be an int, got {re.escape(repr(value))}$"
+        for make in (Hypergraph, Hypergraph.from_edges):
+            with pytest.raises(ValueError, match=message):
+                make(n, r, frozenset({(0, 1)}))
 
     def test_constructor_refuses_a_float_vertex(self):
         with pytest.raises(VertexTypeError):
@@ -213,17 +218,15 @@ class TestHypergraph:
         with pytest.raises(AssertionError, match="re-validated"):
             Hypergraph(n=5, r=3, edges=g.edges)
 
-    def test_derived_graphs_still_check_sizes(self):
-        with pytest.raises(ValueError):
-            complete(-1, 2)
-        with pytest.raises(ValueError):
-            complete(3, 0)
-
     def test_padded(self):
         g = Hypergraph.from_edges(4, 3, [(0, 1, 2)]).padded(10)
         assert g.n == 10 and len(g) == 1
-        with pytest.raises(ValueError):
-            g.padded(3)
+        for n in (3, 9):
+            with pytest.raises(ValueError, match=f"^n must be >= 10, got {n}$"):
+                g.padded(n)
+        for n in ("7", None, 4.5, True, 10.0):
+            with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+                g.padded(n)
 
     def test_equality_is_structural(self):
         a = Hypergraph.from_edges(4, 3, [(0, 1, 2)])

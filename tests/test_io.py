@@ -24,12 +24,12 @@ from bootperc import (
     VertexLabel,
     build_base,
     build_full,
-    glue,
     id_to_label,
-    lift,
     run_fast,
     run_naive,
 )
+from bootperc.constructions import _glue as glue
+from bootperc.constructions import _lift as lift
 from bootperc.io import (
     CertificateDocument,
     DocumentError,

@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -18,9 +19,11 @@ from bootperc import (
     build_full,
     check_density,
     clique_census,
+    id_to_label,
     k_for_n,
     run_fast,
     run_naive,
+    step,
     theorem_bounds,
     verify,
     verify_sequential,
@@ -41,6 +44,34 @@ from helpers import (
     reference_verify_sequential,
     refuse_sweep,
 )
+
+
+def _r3_graph() -> Hypergraph:
+    return Hypergraph.from_edges(5, 3, [(0, 1, 2)])
+
+
+# door: (a function of the sizes, valid sizes by name in order, (a size, its least, an int below))
+SIZE_DOORS = {
+    "build_base": (build_base, {"k": 2}, ("k", 2, 1)),
+    "build_full": (build_full, {"r": 3, "k": 2}, ("r", 3, 2)),
+    "k_for_n": (k_for_n, {"r": 3, "n": 18}, ("n", 0, -1)),
+    "theorem_bounds": (theorem_bounds, {"r": 3, "n": 18}, ("r", 3, 2)),
+    "Hypergraph": (lambda n, r: Hypergraph(n, r, frozenset()), {"n": 5, "r": 3}, ("n", 0, -1)),
+    "from_edges": (lambda n, r: Hypergraph.from_edges(n, r, []), {"n": 5, "r": 3}, ("r", 1, 0)),
+    "padded": (lambda n: _r3_graph().padded(n), {"n": 7}, ("n", 5, 4)),
+    "id_to_label": (id_to_label, {"vertex id": 3, "k": 2}, ("k", 1, 0)),
+    "step": (lambda m: step(_r3_graph(), m=m), {"clique size m": 4}, ("clique size m", 4, 3)),
+    "run_naive": (lambda m: run_naive(_r3_graph(), m=m), {"clique size m": 4},
+                  ("clique size m", 4, 3)),
+    "run_fast": (lambda m: run_fast(_r3_graph(), m=m), {"clique size m": 4},
+                 ("clique size m", 4, 3)),
+    "run_fast max_tuples": (lambda cap: run_fast(_r3_graph(), max_tuples=cap),
+                            {"max_tuples": 10}, ("max_tuples", 0, -1)),
+    "verify_sequential": (lambda cap: verify_sequential(build_base(2), max_tuples=cap),
+                          {"max_tuples": 10}, ("max_tuples", 0, -1)),
+    "brute_force_max_time": (brute_force_max_time, {"r": 3, "n": 5, "jobs": 1, "cap": 24},
+                             ("n", 3, 2)),
+}
 
 
 class TestVerifySequential:
@@ -355,7 +386,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize(
         "r, n, jobs, message",
-        [(1, 5, 1, "r must be >= 2"), (3, 2, 1, "n must be >= r"), (3, 5, 0, "jobs must be >= 1")],
+        [(1, 5, 1, "r must be >= 2"), (3, 2, 1, "n must be >= 3"), (3, 5, 0, "jobs must be >= 1")],
     )
     def test_invalid_arguments(self, r, n, jobs, message):
         with pytest.raises(ValueError, match=message) as info:
@@ -368,8 +399,7 @@ class TestBruteForce:
         # refused before the range and cap checks, which compare a bool or float as a number
         # and raise TypeError on a str
         args = {"r": 3, "n": 5, "jobs": 1, "cap": 24, name: value}
-        got = ", ".join(f"{k}={v!r}" for k, v in args.items())
-        message = f"^r, n, jobs and cap must be ints, got {got}$"
+        message = f"^{name} must be an int, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message) as info:
             brute_force_max_time(**args)
         assert not isinstance(info.value, SearchCapExceeded)
@@ -377,17 +407,16 @@ class TestBruteForce:
             brute_force_max_time(3, 5, cap=5)
 
     @pytest.mark.parametrize("value", [True, 2.0, "2"])
-    @pytest.mark.parametrize(
-        "make, args",
-        [(build_base, {"k": 2}), (build_full, {"r": 3, "k": 2}), (k_for_n, {"r": 3, "n": 18}),
-         (theorem_bounds, {"r": 3, "n": 18})],
-        ids=["build_base", "build_full", "k_for_n", "theorem_bounds"],
-    )
-    def test_non_int_construction_sizes_rejected(self, make, args, value):
-        # refused before any arithmetic, which compares a bool or float as a number
+    @pytest.mark.parametrize("make, args, below", list(SIZE_DOORS.values()), ids=list(SIZE_DOORS))
+    def test_non_int_construction_sizes_rejected(self, make, args, below, value):
+        # every public door that takes a size refuses a non-int before any arithmetic, which
+        # compares a bool or float as a number, and a size below its least in one format
         for name in args:
             with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
-                make(**{**args, name: value})
+                make(*{**args, name: value}.values())
+        name, least, low = below
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {low}$"):
+            make(*{**args, name: low}.values())
 
     def test_k_for_n_needs_a_positive_r(self):
         with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
