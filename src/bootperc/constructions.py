@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as EULER_E
 
-from .core import Edge, Hypergraph, _canonical, _check_int, _is_int, make_edge
+from .core import Edge, Hypergraph, _canonical, _check_int, make_edge
 
 __all__ = [
     "VertexLabel",
-    "LabelRangeError",
     "layer_width",
     "id_to_label",
     "SequentialCertificate",
@@ -43,7 +42,7 @@ __all__ = [
 
 
 class CertificateError(ValueError):
-    """A structurally inconsistent certificate (distinct from a replay failure)."""
+    """A certificate value that disagrees with its graph or sequence (not a replay failure)."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,10 @@ class SequentialCertificate:
 
     def __post_init__(self) -> None:
         g = self.graph
-        if not (_is_int(self.r) and self.r == g.r):
+        _check_int("r", self.r)
+        _check_int("k", self.k, 1)
+        _check_int("predicted_t", self.predicted_t)
+        if self.r != g.r:
             raise CertificateError(f"graph uniformity {g.r} != r = {self.r}")
         if not self.sequence:
             raise CertificateError("empty sequence")
@@ -82,18 +84,13 @@ class SequentialCertificate:
                     raise CertificateError(f"sequence[{i}] = {edge} is not a sorted tuple")
                 if i >= 1 and edge in g:
                     raise CertificateError(f"sequence[{i}] already lies in the graph")
-        if not _is_int(self.k):
-            raise CertificateError(f"k must be an int, got {self.k!r}")
-        if not _is_int(self.predicted_t):
-            raise CertificateError(f"predicted_t must be an int, got {self.predicted_t!r}")
         if self.predicted_t != len(self.sequence) - 1:
             raise CertificateError(
                 f"predicted_t = {self.predicted_t} but the sequence has "
                 f"{len(self.sequence) - 1} steps after the ignition"
             )
         if self.apex is not None:
-            if not _is_int(self.apex):
-                raise CertificateError(f"apex must be an int, got {self.apex!r}")
+            _check_int("apex", self.apex)
             if not 0 <= self.apex < g.n:
                 raise CertificateError(f"apex {self.apex} out of range")
             for edge in self.sequence:
@@ -111,16 +108,16 @@ def full_running_time(r: int, k: int) -> int:
     return (2 * k - 1) ** (r - 2) * (8 * k * k - 12 * k + 6) - 2
 
 
-class LabelRangeError(ValueError):
-    """A (layer, index) label falls outside the valid grid."""
-
-
 @dataclass(frozen=True)
 class VertexLabel:
     """Doubly-indexed construction vertex: layer (1-based) and index (1-based)."""
 
     layer: int
     index: int
+
+    def __post_init__(self) -> None:
+        _check_int("layer", self.layer, 1)
+        _check_int("index", self.index, 1)
 
 
 def layer_width(k: int) -> int:
@@ -135,10 +132,8 @@ def _vid(layer: int, index: int, k: int) -> int:
 
 def id_to_label(vid: int, k: int) -> VertexLabel:
     """Inverse of :func:`_vid`: the label of vertex id ``vid`` for k >= 1."""
-    _check_int("vertex id", vid)
+    _check_int("vertex id", vid, 0)
     _check_int("k", k, 1)
-    if vid < 0:
-        raise LabelRangeError(f"vertex id must be >= 0, got {vid}")
     w = layer_width(k)
     return VertexLabel(layer=vid // w + 1, index=vid % w + 1)
 

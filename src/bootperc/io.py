@@ -3,12 +3,12 @@
 Each document is a JSON object in a fixed key order.  Emitting is
 byte-identical across platforms, re-emitting a parsed canonical document
 reproduces it exactly, and a document whose numbers are all ints emits
-text the parser accepts.  Parsing is strict: a document that breaks a
-graph or certificate invariant is refused with a :class:`DocumentError`
-whose code names the failure (``syntax``, ``schema``, ``version``,
-``arity``, ``duplicate-vertex``, ``duplicate-edge``, ``id-range``,
-``not-canonical``, ``certificate``).  A certificate's sequence is checked
-twice on purpose: by the parser, then by the certificate, as for any caller.
+text the parser accepts.  Parsing is strict: a fault is a
+:class:`DocumentError` whose code names it (``syntax``, ``schema``,
+``version``, ``arity``, ``duplicate-vertex``, ``duplicate-edge``,
+``id-range``, ``not-canonical``, ``certificate``).  The parser checks
+shape and edges, the objects every other value, and :func:`_parse` alone
+maps an object's refusal to a code; both check sequence edges, on purpose.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import lt
 from typing import Any, TextIO
 
 from .constructions import CertificateError, SequentialCertificate, VertexLabel
-from .core import Edge, Hypergraph, _canonical, _is_int
+from .core import Edge, Hypergraph, _canonical, _check_int, _check_sizes, _is_int
 from .engine import RunResult
 
 __all__ = [
@@ -57,18 +57,10 @@ class DocumentError(ValueError):
         super().__init__(f"{code}: {message}{where}")
 
 
-def _check_extras(n: int, k: Any, labels: Labels | None, optional_k: bool = False) -> None:
-    """Refuse a k that is not an int of at least 1 (None where optional), or labels
-    other than one positive (layer, index) per vertex."""
-    if not ((k is None and optional_k) or (_is_int(k) and k >= 1)):
-        raise ValueError(f"invalid k={k!r}")
-    if labels is None:
-        return
-    if len(labels) != n:
+def _check_labels(labels: Labels | None, n: int) -> None:
+    """Refuse labels other than one per vertex; each label checks its own values."""
+    if labels is not None and len(labels) != n:
         raise ValueError(f"labels list must have one entry per vertex ({n})")
-    for lab in labels:
-        if not (_is_int(lab.layer) and _is_int(lab.index) and lab.layer >= 1 and lab.index >= 1):
-            raise ValueError(f"label {lab!r} must be {{layer, index}} positive ints")
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,9 @@ class GraphDocument:
     labels: Labels | None = None
 
     def __post_init__(self) -> None:
-        _check_extras(self.graph.n, self.k, self.labels, optional_k=True)
+        if self.k is not None:
+            _check_int("k", self.k, 1)
+        _check_labels(self.labels, self.graph.n)
 
     def to_hypergraph(self) -> Hypergraph:
         return self.graph
@@ -94,7 +88,7 @@ class CertificateDocument:
     labels: Labels | None = None
 
     def __post_init__(self) -> None:
-        _check_extras(self.certificate.graph.n, self.certificate.k, self.labels)
+        _check_labels(self.labels, self.certificate.graph.n)
 
     def to_hypergraph(self) -> Hypergraph:
         return self.certificate.graph
@@ -181,13 +175,6 @@ def _load_object(text: str) -> dict[str, Any]:
     return data
 
 
-def _require_int(data: dict[str, Any], key: str) -> int:
-    value = data.get(key)
-    if not _is_int(value):
-        raise DocumentError("schema", f"field {key!r} must be an integer")
-    return value
-
-
 def _check_keys(data: dict[str, Any], required: set[str], optional: set[str]) -> None:
     keys = set(data)
     missing = required - keys
@@ -196,6 +183,9 @@ def _check_keys(data: dict[str, Any], required: set[str], optional: set[str]) ->
     unknown = keys - required - optional
     if unknown:
         raise DocumentError("schema", f"unknown field(s): {sorted(unknown)}")
+    nulls = sorted(key for key in optional & keys if data[key] is None)
+    if nulls:  # the objects read None as absent, which a written key is not
+        raise DocumentError("schema", f"optional field(s) set to null: {nulls}")
 
 
 def _parse_edge(raw: Any, r: int, n: int) -> Edge:
@@ -234,7 +224,7 @@ def _parse_edge_list(raw: Any, r: int, n: int) -> tuple[Edge, ...]:
 
 
 def _parse_labels(raw: Any) -> Labels:
-    """The labels as given; the document checks their count and values."""
+    """The labels as given; each label checks its values, the document their count."""
     if not isinstance(raw, list) or not all(
         isinstance(item, dict) and set(item) == {"layer", "index"} for item in raw
     ):
@@ -250,6 +240,11 @@ def _parse(text: str, convert: Callable[[dict[str, Any]], Any]) -> Any:
     gc.disable()
     try:
         return convert(_load_object(text))
+    except DocumentError:
+        raise
+    except ValueError as exc:  # an object's refusal
+        code = "certificate" if isinstance(exc, CertificateError) else "schema"
+        raise DocumentError(code, str(exc)) from exc
     finally:
         if enabled:
             gc.enable()
@@ -263,11 +258,7 @@ def parse_graph(text: str) -> GraphDocument:
 def _graph_document(data: dict[str, Any]) -> GraphDocument:
     """Validate an already decoded graph document."""
     _check_keys(data, required={"format_version", "r", "n", "edges"}, optional={"k", "labels"})
-    graph, k, labels = _graph_fields(data)
-    try:
-        return GraphDocument(graph, k, labels)
-    except ValueError as exc:
-        raise DocumentError("schema", str(exc)) from exc
+    return GraphDocument(*_graph_fields(data))
 
 
 def _graph_fields(data: dict[str, Any]) -> tuple[Hypergraph, int | None, Labels | None]:
@@ -280,14 +271,11 @@ def _graph_fields(data: dict[str, Any]) -> tuple[Hypergraph, int | None, Labels 
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise DocumentError("version", f"unsupported format_version {version!r}")
-    r = _require_int(data, "r")
-    n = _require_int(data, "n")
-    if r < 1 or n < 0:
-        raise DocumentError("schema", f"invalid r={r} or n={n}")
-    k = _require_int(data, "k") if "k" in data else None
+    r, n = data["r"], data["n"]
+    _check_sizes(n, r)
     labels = _parse_labels(data["labels"]) if "labels" in data else None
     edges = _parse_edge_list(data.pop("edges"), r, n)
-    return Hypergraph._trusted(n, r, frozenset(edges)), k, labels
+    return Hypergraph._trusted(n, r, frozenset(edges)), data.get("k"), labels
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -314,14 +302,8 @@ def _certificate(data: dict[str, Any]) -> CertificateDocument:
     r, n = graph.r, graph.n
     ignition = _parse_edge(data["ignition"], r, n)
     sequence = _parse_edges(data.pop("sequence"), r, n, "sequence")
-    predicted_t = _require_int(data, "predicted_t")
-    apex = _require_int(data, "apex") if "apex" in data else None
-    try:
-        cert = SequentialCertificate(
-            graph=graph, ignition=ignition, sequence=sequence, r=r, k=k,
-            predicted_t=predicted_t, apex=apex,
-        )
-        return CertificateDocument(cert, labels)
-    except ValueError as exc:
-        code = "certificate" if isinstance(exc, CertificateError) else "schema"
-        raise DocumentError(code, str(exc)) from exc
+    cert = SequentialCertificate(
+        graph=graph, ignition=ignition, sequence=sequence, r=r, k=k,
+        predicted_t=data["predicted_t"], apex=data.get("apex"),
+    )
+    return CertificateDocument(cert, labels)

@@ -17,7 +17,6 @@ from bootperc import (
     DuplicateVertexError,
     Edge,
     Hypergraph,
-    LabelRangeError,
     SequentialCertificate,
     VertexLabel,
     build_base,
@@ -125,9 +124,9 @@ def label_to_id(label: VertexLabel, k: int) -> int:
     a label off the grid (layer >= 1, index in [1, 4k - 3])."""
     w = layer_width(k)
     if label.layer < 1:
-        raise LabelRangeError(f"layer must be >= 1, got {label.layer}")
+        raise ValueError(f"layer must be >= 1, got {label.layer}")
     if not 1 <= label.index <= w:
-        raise LabelRangeError(f"index must be in [1, {w}] for k={k}, got {label.index}")
+        raise ValueError(f"index must be in [1, {w}] for k={k}, got {label.index}")
     return (label.layer - 1) * w + (label.index - 1)
 
 

@@ -5,6 +5,7 @@ import io as stdio
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from functools import cache
 from pathlib import Path
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import bootperc.core as core
 import bootperc.io as bio
 from bootperc import (
-    CertificateError,
     Hypergraph,
     InfectionTrace,
     RunResult,
@@ -232,33 +232,41 @@ class TestEveryDocumentRoundTrips:
 
     @pytest.mark.parametrize("k", [0, -1, True, 1.0, "2"])
     def test_bad_k_is_refused(self, k):
-        with pytest.raises(ValueError, match="invalid k"):
-            GraphDocument(complete(4, 3), k=k)
-        if type(k) is not int:  # the certificate refuses it before a document can
-            with pytest.raises(CertificateError, match=f"^k must be an int, got {k!r}$"):
-                dataclasses.replace(build_base(2), k=k)
-            return
-        cert = dataclasses.replace(build_base(2), k=k)
-        for make in (CertificateDocument, emit_certificate):
-            with pytest.raises(ValueError, match="invalid k"):
-                make(cert)
+        # the certificate holds its k, so no certificate document can hold a bad one
+        message = f"k must be >= 1, got {k}" if type(k) is int else f"k must be an int, got {k!r}"
+        for make in (lambda: GraphDocument(complete(4, 3), k=k),
+                     lambda: dataclasses.replace(build_base(2), k=k)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+                make()
+            assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize(
         "fault",
         [
-            lambda labels: labels[:-1],
-            lambda labels: labels + labels[:1],
+            lambda labels: (labels[:-1], None),
+            lambda labels: (labels + labels[:1], None),
             *(
-                lambda labels, last=last: labels[:-1] + (VertexLabel(*last),)
-                for last in [(0, 1), (1, -1), (True, 1), (1, 1.0), ("1", 1)]
+                lambda labels, last=last, message=message: (labels[:-1] + (last,), message)
+                for last, message in [
+                    ((0, 1), "layer must be >= 1, got 0"),
+                    ((1, -1), "index must be >= 1, got -1"),
+                    ((True, 1), "layer must be an int, got True"),
+                    ((1, 1.0), "index must be an int, got 1.0"),
+                    (("1", 1), "layer must be an int, got '1'"),
+                ]
             ),
         ],
     )
     def test_bad_labels_are_refused(self, fault):
         cert = build_base(2)
-        labels = fault(tuple(id_to_label(i, 2) for i in range(cert.graph.n)))
+        labels, message = fault(tuple(id_to_label(i, 2) for i in range(cert.graph.n)))
+        if message is not None:  # a label off the grid is refused where it is built
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                VertexLabel(*labels[-1])
+            return
+        count = r"^labels list must have one entry per vertex \(11\)$"
         for make, held in ((GraphDocument, cert.graph), (CertificateDocument, cert)):
-            with pytest.raises(ValueError, match="label"):
+            with pytest.raises(ValueError, match=count):
                 make(held, labels=labels)
 
 
@@ -393,6 +401,16 @@ READ_ERRORS = [
      "arity"),
     (parse_certificate, lambda: rewrite(base2_doc(), lambda d: d.update(predicted_t=99)),
      "certificate"),
+    # a field set to null, optional ones too: the objects read None as absent
+    *(pytest.param(parse,
+                   lambda make=make, field=field: rewrite(make(), lambda d: d.update({field: None})),
+                   "version" if field == "format_version" else "schema", id=f"{kind}-{field}-null")
+      for kind, parse, make, fields in [
+          ("graph", parse_graph, k34_doc, ["format_version", "r", "n", "k", "labels", "edges"]),
+          ("certificate", parse_certificate, base2_doc,
+           ["format_version", "r", "n", "k", "labels", "edges", "ignition", "sequence",
+            "predicted_t", "apex"])]
+      for field in fields),
 ]
 
 

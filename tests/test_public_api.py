@@ -8,7 +8,7 @@ LISTED_BY_HAND = [
     "VertexRangeError", "VertexTypeError", "make_edge",
     "InfectionTrace", "RunResult", "TupleBudgetExceeded", "DEFAULT_MAX_TUPLES", "step",
     "run_naive", "run_fast",
-    "VertexLabel", "LabelRangeError", "layer_width", "id_to_label",
+    "VertexLabel", "layer_width", "id_to_label",
     "SequentialCertificate", "CertificateError", "Bounds", "base_running_time",
     "full_running_time", "build_base", "build_full", "theorem_bounds", "k_for_n",
     "VerificationReport", "BruteForceResult", "EngineDisagreement", "SearchCapExceeded",
@@ -28,7 +28,7 @@ def test_every_name_resolves():
 
 
 def test_keeps_every_name_listed_by_hand():
-    assert len(LISTED_BY_HAND) == len(set(LISTED_BY_HAND)) == 39
+    assert len(LISTED_BY_HAND) == len(set(LISTED_BY_HAND)) == 38
     assert sorted(LISTED_BY_HAND) == sorted(bootperc.__all__)
 
 
